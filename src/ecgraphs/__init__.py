@@ -11,10 +11,8 @@ from .ec import EcVerdict, is_n_ec, is_n_line_ec, line_graph, xi, xi_line
 from .fields import FieldError, FiniteField
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import (
-    BasicStats,
     Graph,
     GraphError,
-    basic_stats,
     cartesian_product,
     complement,
     complete_bipartite,
@@ -50,7 +48,6 @@ from .search import (
 )
 
 __all__ = [
-    "BasicStats",
     "EcVerdict",
     "FieldError",
     "FiniteField",
@@ -63,7 +60,6 @@ __all__ = [
     "SearchReport",
     "automorphism_generators",
     "automorphism_orbits",
-    "basic_stats",
     "canonical_form",
     "cartesian_product",
     "complement",

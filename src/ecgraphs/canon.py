@@ -16,10 +16,10 @@ graphs of small order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph6 import write_graph6
-from .graphs import Graph, bits
+from .graphs import Graph, permute_rows
 
 
 def refine_partition(n: int, adj: Sequence[int], cells: list[int], work: list[int] | None = None) -> list[int]:
@@ -58,16 +58,6 @@ def refine_partition(n: int, adj: Sequence[int], cells: list[int], work: list[in
     return cells
 
 
-def _permuted_rows(n: int, adj: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
-    rows = [0] * n
-    for v in range(n):
-        acc = 0
-        for u in bits(adj[v]):
-            acc |= 1 << perm[u]
-        rows[perm[v]] = acc
-    return tuple(rows)
-
-
 def canonical_search(n: int, adj: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]]]:
     """Canonical labelling and automorphism generators of a raw adjacency list.
 
@@ -99,19 +89,7 @@ def canonical_search(n: int, adj: Sequence[int]) -> tuple[list[int], list[tuple[
         relevant = [g for g in gens if all(g[w] == w for w in fixed)]
         if not relevant:
             return False
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in relevant:
-            for a in range(n):
-                ra, rb = find(a), find(g[a])
-                if ra != rb:
-                    parent[ra] = rb
+        find = _orbit_find(n, relevant)
         rv = find(v)
         return any(find(w) == rv for w in explored)
 
@@ -125,7 +103,7 @@ def canonical_search(n: int, adj: Sequence[int]) -> tuple[list[int], list[tuple[
             perm = [0] * n
             for i, cell in enumerate(cells):
                 perm[cell.bit_length() - 1] = i
-            key = _permuted_rows(n, adj, perm)
+            key = permute_rows(adj, perm)
             if state["first_key"] is None:
                 state["first_key"] = key
                 state["first_perm"] = perm
@@ -158,14 +136,10 @@ def canonical_search(n: int, adj: Sequence[int]) -> tuple[list[int], list[tuple[
     return list(state["best_perm"]), gens
 
 
-def canonical_perm(g: Graph) -> list[int]:
-    perm, _ = canonical_search(g.n, g.adj)
-    return perm
-
-
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 string: equal strings iff isomorphic graphs."""
-    return write_graph6(g.permuted(canonical_perm(g)))
+    perm, _ = canonical_search(g.n, g.adj)
+    return write_graph6(g.permuted(perm))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -179,8 +153,9 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     return gens
 
 
-def orbit_partition(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
-    """Vertex orbits under the group generated by ``gens``: orbit id per vertex."""
+def _orbit_find(n: int, gens: Sequence[Sequence[int]]) -> Callable[[int], int]:
+    """Union-find over the generators; the returned find maps each vertex to
+    a root shared by its whole orbit."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -194,14 +169,15 @@ def orbit_partition(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
             ra, rb = find(v), find(g[v])
             if ra != rb:
                 parent[ra] = rb
-    roots = [find(v) for v in range(n)]
+    return find
+
+
+def orbit_partition(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
+    """Vertex orbits under the group generated by ``gens``: orbit id per vertex,
+    numbered in order of first appearance."""
+    find = _orbit_find(n, gens)
     ids: dict[int, int] = {}
-    out = []
-    for r in roots:
-        if r not in ids:
-            ids[r] = len(ids)
-        out.append(ids[r])
-    return out
+    return [ids.setdefault(find(v), len(ids)) for v in range(n)]
 
 
 def automorphism_orbits(g: Graph) -> list[int]:

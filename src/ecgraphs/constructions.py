@@ -3,32 +3,21 @@
 from __future__ import annotations
 
 from .fields import FiniteField
-from .graphs import Graph, GraphError, MAX_VERTICES
+from .graphs import Graph, GraphError, MAX_VERTICES, empty_graph
 
 MAX_PALEY_ORDER = 64
 
 
 def cone(g: Graph) -> Graph:
     """Add one new vertex adjacent to every vertex of g."""
-    n = g.n + 1
-    if n > MAX_VERTICES:
-        raise GraphError(f"cone would have {n} > {MAX_VERTICES} vertices")
-    top = 1 << g.n
-    rows = tuple(row | top for row in g.adj) + ((1 << g.n) - 1,)
-    return Graph(n, rows)
+    return join(g, empty_graph(1))
 
 
 def join_independent(g: Graph, s: int) -> Graph:
     """Add s >= 2 pairwise non-adjacent vertices, each adjacent to all of g."""
     if s < 2:
         raise GraphError(f"independent set size must be at least 2, got {s}")
-    n = g.n + s
-    if n > MAX_VERTICES:
-        raise GraphError(f"join would have {n} > {MAX_VERTICES} vertices")
-    news = ((1 << s) - 1) << g.n
-    old = (1 << g.n) - 1
-    rows = tuple(row | news for row in g.adj) + (old,) * s
-    return Graph(n, rows)
+    return join(g, empty_graph(s))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -50,9 +39,9 @@ def paley(q: int) -> Graph:
     nonzero square.  The congruence makes -1 a square, so adjacency is
     symmetric and the graph is (q-1)/2-regular.
     """
-    field = FiniteField(q)  # validates the prime-power requirement
     if q > MAX_PALEY_ORDER:
         raise GraphError(f"paley graph order {q} exceeds the {MAX_PALEY_ORDER}-vertex limit")
+    field = FiniteField(q)  # validates the prime-power requirement
     if q % 4 != 1:
         raise GraphError(f"paley graph needs q = 1 (mod 4), got {q}")
     squares = 0

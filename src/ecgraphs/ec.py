@@ -4,9 +4,10 @@ Both modes reduce to the same question over a list of adjacency bitsets: for
 every split of every n-subset of items into (A, B), is there an item outside
 the subset adjacent to everything in A and nothing in B?  In vertex mode the
 items are vertices and the bitsets are the graph's rows; in line mode the
-items are edges and two edges are adjacent when they share an endpoint.  The
-bitsets are arbitrary-width ints, so line mode never materializes a line
-graph and is not bound by the 64-vertex cap.
+items are graph edges or hyperedges, two of them adjacent when they share a
+vertex, and ``line_adjacency`` builds the bitsets for both.  The bitsets are
+arbitrary-width ints, so line mode never materializes a line graph and is not
+bound by the 64-vertex cap.
 """
 
 from __future__ import annotations
@@ -118,13 +119,29 @@ def xi(g: Graph) -> int:
 # line mode
 
 
-def edge_adjacency(edges: Sequence[tuple[int, int]], n: int) -> list[int]:
-    """Per-edge bitsets over edge indices: bit f of entry e set iff e and f meet."""
-    by_vertex = [0] * n
-    for idx, (u, v) in enumerate(edges):
-        by_vertex[u] |= 1 << idx
-        by_vertex[v] |= 1 << idx
-    return [(by_vertex[u] | by_vertex[v]) & ~(1 << idx) for idx, (u, v) in enumerate(edges)]
+def vertex_stars(items: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Per-vertex bitsets over item indices: bit i of entry v set iff v lies in item i."""
+    stars = [0] * n
+    for idx, item in enumerate(items):
+        for v in item:
+            stars[v] |= 1 << idx
+    return stars
+
+
+def line_adjacency(items: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Per-item bitsets over item indices: bit j of entry i set iff items i and j meet.
+
+    Items are vertex tuples (graph edges or hyperedges) over 0..n-1, listed in
+    the order their indices take in certificates and line graphs.
+    """
+    stars = vertex_stars(items, n)
+    out = []
+    for idx, item in enumerate(items):
+        acc = 0
+        for v in item:
+            acc |= stars[v]
+        out.append(acc & ~(1 << idx))
+    return out
 
 
 def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
@@ -135,40 +152,16 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
         raise GraphError("line graph of an edgeless graph is empty")
     if m > MAX_VERTICES:
         raise GraphError(f"line graph would have {m} > {MAX_VERTICES} vertices")
-    return Graph(m, tuple(edge_adjacency(edges, g.n))), tuple(edges)
-
-
-def _two_line_ec_fast(adjacency: Sequence[int], count: int) -> bool:
-    """Level-2 check via the two conditions that suffice at min degree >= 3:
-    every edge pair needs a common neighbour and a common non-neighbour."""
-    full = (1 << count) - 1
-    for i in range(count - 1):
-        ai = adjacency[i]
-        for j in range(i + 1, count):
-            aj = adjacency[j]
-            rest = full & ~(1 << i) & ~(1 << j)
-            if not rest & ai & aj:
-                return False
-            if not rest & ~ai & ~aj:
-                return False
-    return True
+    return Graph(m, tuple(line_adjacency(edges, g.n))), tuple(edges)
 
 
 def is_n_line_ec(g: Graph, n: int) -> EcVerdict:
-    """Decide whether g is n-line existentially closed (over edges).
-
-    For n = 2 on graphs with min degree >= 3 an affirmative answer is reached
-    by checking only common-neighbour and common-non-neighbour pairs; failures
-    fall back to the full enumeration so certificates keep their fixed order.
-    """
+    """Decide whether g is n-line existentially closed (over edges)."""
     edges = g.edges()
     m = len(edges)
     if not 1 <= n <= m:
         raise GraphError(f"level must be 1..{m} for this graph, got {n}")
-    adjacency = edge_adjacency(edges, g.n)
-    if n == 2 and min(g.degrees()) >= 3 and _two_line_ec_fast(adjacency, m):
-        return EcVerdict(2, True)
-    return _verdict(n, _ec_split_search(adjacency, m, n), edges)
+    return _verdict(n, _ec_split_search(line_adjacency(edges, g.n), m, n), edges)
 
 
 def _has_three_disjoint(adjacency: Sequence[int], count: int) -> bool:
@@ -196,8 +189,7 @@ def xi_line(g: Graph) -> int:
     while level < m:
         nxt = level + 1
         if nxt == 3:
-            adjacency = edge_adjacency(edges, g.n)
-            if _has_three_disjoint(adjacency, m):
+            if _has_three_disjoint(line_adjacency(edges, g.n), m):
                 break
         if not is_n_line_ec(g, nxt).holds:
             break

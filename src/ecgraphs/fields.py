@@ -3,7 +3,7 @@
 Elements are integers 0..q-1 read as base-p coefficient vectors; extension
 fields reduce modulo the monic irreducible polynomial of degree k whose
 low-order coefficient vector has the least base-p integer encoding, found by
-exhaustive scan and verified irreducible with a Rabin test.  Deterministic
+exhaustive scan and verified irreducible by trial division.  Deterministic
 across runs.
 """
 
@@ -38,6 +38,15 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 # -- polynomial helpers over GF(p); coefficient lists, ascending degree ------
 
 
+def _digits(a: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of a, least significant first."""
+    out = []
+    for _ in range(k):
+        out.append(a % p)
+        a //= p
+    return out
+
+
 def _poly_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
@@ -66,62 +75,13 @@ def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
     return a
 
 
-def _poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), mod, p)
-        base = _poly_mod(_poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
-def _prime_factors(k: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return out
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Rabin test: x^(p^k) == x mod f and gcd(x^(p^(k/r)) - x, f) = 1 for r | k."""
-    k = len(poly) - 1
-    x = [0, 1]
-    xq = _poly_powmod(x, p ** k, poly, p)
-    diff = _poly_trim([(c1 - c2) % p for c1, c2 in zip(xq + [0] * 2, x + [0] * len(xq))])
-    if diff:
-        return False
-    for r in _prime_factors(k):
-        xe = _poly_powmod(x, p ** (k // r), poly, p)
-        d = [(c1 - c2) % p for c1, c2 in zip(xe + [0] * 2, x + [0] * len(xe))]
-        g = _poly_gcd(poly, _poly_trim(d), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
 class FiniteField:
     """GF(q) with elements encoded as integers 0..q-1 (base-p digit vectors)."""
 
     def __init__(self, q: int):
-        p, k = factor_prime_power(q)
         if q > MAX_FIELD_ORDER:
             raise FieldError(f"field order {q} exceeds the supported {MAX_FIELD_ORDER}")
+        p, k = factor_prime_power(q)
         self.p = p
         self.k = k
         self.q = q
@@ -131,18 +91,13 @@ class FiniteField:
         p, k = self.p, self.k
         if k == 1:
             return (0, 1)  # x itself; unused by the mod-p arithmetic
+        # a reducible polynomial of degree k has a monic factor of degree <= k/2
+        divisors = [_digits(low, p, d) + [1] for d in range(1, k // 2 + 1) for low in range(p ** d)]
         for low in range(p ** k):
-            coeffs = self._digits(low) + [1]
-            if _is_irreducible(coeffs, p):
+            coeffs = _digits(low, p, k) + [1]
+            if all(_poly_mod(coeffs, div, p) for div in divisors):
                 return tuple(coeffs)
         raise FieldError(f"no irreducible polynomial found for GF({p}^{k})")  # unreachable
-
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
 
     def _undigits(self, coeffs: list[int]) -> int:
         acc = 0
@@ -159,14 +114,14 @@ class FiniteField:
         self._check(b)
         if self.k == 1:
             return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
+        da, db = _digits(a, self.p, self.k), _digits(b, self.p, self.k)
         return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
 
     def neg(self, a: int) -> int:
         self._check(a)
         if self.k == 1:
             return (-a) % self.p
-        return self._undigits([(-x) % self.p for x in self._digits(a)])
+        return self._undigits([(-x) % self.p for x in _digits(a, self.p, self.k)])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -176,7 +131,7 @@ class FiniteField:
         self._check(b)
         if self.k == 1:
             return a * b % self.p
-        prod = _poly_mul(self._digits(a), self._digits(b), self.p)
+        prod = _poly_mul(_digits(a, self.p, self.k), _digits(b, self.p, self.k), self.p)
         return self._undigits(_poly_mod(prod, list(self.modulus), self.p))
 
     def power(self, a: int, e: int) -> int:
@@ -204,6 +159,3 @@ class FiniteField:
         if a == 0 or self.p == 2:
             return True
         return self.power(a, (self.q - 1) // 2) == 1
-
-    def elements(self) -> range:
-        return range(self.q)

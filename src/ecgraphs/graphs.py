@@ -88,13 +88,7 @@ class Graph:
 
     def permuted(self, perm: Sequence[int]) -> "Graph":
         """Relabel: vertex v becomes perm[v]."""
-        rows = [0] * self.n
-        for v in range(self.n):
-            acc = 0
-            for u in bits(self.adj[v]):
-                acc |= 1 << perm[u]
-            rows[perm[v]] = acc
-        return Graph(self.n, tuple(rows))
+        return Graph(self.n, permute_rows(self.adj, perm))
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced by ``vertices``, relabelled 0.. in the given order."""
@@ -111,12 +105,15 @@ class Graph:
         return Graph(k, tuple(rows))
 
 
-@dataclass(frozen=True)
-class BasicStats:
-    min_degree: int
-    max_degree: int
-    edge_count: int
-    connected: bool
+def permute_rows(adj: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows relabelled so that vertex v becomes perm[v]."""
+    rows = [0] * len(adj)
+    for v, row in enumerate(adj):
+        acc = 0
+        for u in bits(row):
+            acc |= 1 << perm[u]
+        rows[perm[v]] = acc
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +123,8 @@ class BasicStats:
 def empty_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError("empty graph needs at least one vertex")
+    if n > MAX_VERTICES:  # refuse before allocating n rows
+        raise GraphError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex limit")
     return Graph(n, (0,) * n)
 
 
@@ -266,11 +265,6 @@ def diameter(g: Graph) -> int | float:
             return math.inf
         best = max(best, dist)
     return best
-
-
-def basic_stats(g: Graph) -> BasicStats:
-    degs = g.degrees()
-    return BasicStats(min(degs), max(degs), sum(degs) // 2, is_connected(g))
 
 
 def max_matching_size(g: Graph) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .ec import EcVerdict, _ec_split_search, _verdict
+from .ec import EcVerdict, _ec_split_search, _verdict, line_adjacency, vertex_stars
 from .graphs import Graph, GraphError, MAX_VERTICES, bits
 
 
@@ -58,14 +58,6 @@ class Hypergraph:
 
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def edge_vertices(self, i: int) -> tuple[int, ...]:
-        return tuple(bits(self.edges[i]))
-
-    def uniformity(self) -> int | None:
-        """Common edge cardinality, or None when edges have mixed sizes."""
-        sizes = {e.bit_count() for e in self.edges}
-        return sizes.pop() if len(sizes) == 1 else None
 
     def is_uniform(self, k: int) -> bool:
         return all(e.bit_count() == k for e in self.edges)
@@ -117,28 +109,7 @@ def line_graph_of_hypergraph(h: Hypergraph) -> Graph:
         raise HypergraphError("line graph of an edgeless hypergraph is empty")
     if m > MAX_VERTICES:
         raise HypergraphError(f"line graph would have {m} > {MAX_VERTICES} vertices")
-    rows = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if h.edges[i] & h.edges[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(m, tuple(rows))
-
-
-def hyperedge_adjacency(h: Hypergraph) -> list[int]:
-    """Per-edge adjacency bitsets over edge indices (intersection = adjacency)."""
-    by_vertex = [0] * h.n
-    for idx, e in enumerate(h.edges):
-        for v in bits(e):
-            by_vertex[v] |= 1 << idx
-    out = []
-    for idx, e in enumerate(h.edges):
-        acc = 0
-        for v in bits(e):
-            acc |= by_vertex[v]
-        out.append(acc & ~(1 << idx))
-    return out
+    return Graph(m, tuple(line_adjacency([tuple(bits(e)) for e in h.edges], h.n)))
 
 
 def is_n_line_ec_hyper(h: Hypergraph, n: int) -> EcVerdict:
@@ -146,9 +117,8 @@ def is_n_line_ec_hyper(h: Hypergraph, n: int) -> EcVerdict:
     m = len(h.edges)
     if not 1 <= n <= m:
         raise HypergraphError(f"level must be 1..{m} for this hypergraph, got {n}")
-    adjacency = hyperedge_adjacency(h)
     items = [tuple(bits(e)) for e in h.edges]
-    return _verdict(n, _ec_split_search(adjacency, m, n), items)
+    return _verdict(n, _ec_split_search(line_adjacency(items, h.n), m, n), items)
 
 
 def crossing_hypergraph(x: int, y: int, k: int) -> Hypergraph:
@@ -192,32 +162,16 @@ def star_dual(g: Graph) -> Hypergraph:
     for u, v in edges:
         if degs[u] == 1 and degs[v] == 1:
             raise GraphError("star dual undefined for single-edge components")
-    stars = [0] * g.n
-    for idx, (u, v) in enumerate(edges):
-        stars[u] |= 1 << idx
-        stars[v] |= 1 << idx
-    stars.sort()
-    return Hypergraph(m, tuple(stars))
+    return Hypergraph(m, tuple(sorted(vertex_stars(edges, g.n))))
 
 
 def cross_join_hypergraphs(h1: Hypergraph, h2: Hypergraph, k: int) -> Hypergraph:
     """Union of two k-uniform hypergraphs (h2 shifted up) plus all k-subsets
-    meeting both vertex sets."""
+    meeting both vertex sets; k must be at least 2, as for crossing_hypergraph."""
     if not h1.is_uniform(k) or not h2.is_uniform(k):
         raise HypergraphError(f"both hypergraphs must be {k}-uniform")
     if not (h1.n >= h2.n >= 2 * k - 1):
         raise HypergraphError(f"need |V1| >= |V2| >= {2 * k - 1}, got {h1.n}, {h2.n}")
-    n = h1.n + h2.n
-    if n > MAX_VERTICES:
-        raise HypergraphError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex limit")
-    mask1 = (1 << h1.n) - 1
-    mask2 = ((1 << h2.n) - 1) << h1.n
-    masks = list(h1.edges) + [e << h1.n for e in h2.edges]
-    for combo in combinations(range(n), k):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        if mask & mask1 and mask & mask2:
-            masks.append(mask)
-    masks.sort()
-    return Hypergraph(n, tuple(masks))
+    crossing = crossing_hypergraph(h1.n, h2.n, k)
+    masks = list(h1.edges) + [e << h1.n for e in h2.edges] + list(crossing.edges)
+    return Hypergraph(crossing.n, tuple(sorted(masks)))

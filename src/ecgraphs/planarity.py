@@ -14,8 +14,6 @@ oracle on all connected graphs of order <= 7.
 
 from __future__ import annotations
 
-import sys
-
 from .graphs import Graph, bits
 
 
@@ -28,9 +26,6 @@ class _Interval:
 
     def empty(self) -> bool:
         return self.low is None and self.high is None
-
-    def copy(self) -> "_Interval":
-        return _Interval(self.low, self.high)
 
 
 class _ConflictPair:
@@ -61,14 +56,8 @@ class _LRTest:
         self.stack_bottom: dict[tuple[int, int], _ConflictPair | None] = {}
         self.lowpt_edge: dict[tuple[int, int], tuple[int, int]] = {}
         self.ref: dict[tuple[int, int], tuple[int, int] | None] = {}
-        self.side: dict[tuple[int, int], int] = {}
 
     # -- phase 1: orientation -------------------------------------------------
-
-    def _orient_from(self, root: int) -> None:
-        # recursive formulation; depth is bounded by n <= 64
-        self.height[root] = 0
-        self._dfs1(root)
 
     def _dfs1(self, v: int) -> None:
         e = self.parent_edge[v]
@@ -179,22 +168,18 @@ class _LRTest:
         u = e[0]
         # drop entire conflict pairs whose lowest return is at u
         while self.stack and self._lowest(self.stack[-1]) == self.height[u]:
-            pair = self.stack.pop()
-            if pair.left.low is not None:
-                self.side[pair.left.low] = -1
+            self.stack.pop()
         if self.stack:
             pair = self.stack.pop()
             while pair.left.high is not None and pair.left.high[1] == u:
                 pair.left.high = self.ref.get(pair.left.high)
             if pair.left.high is None and pair.left.low is not None:
                 self.ref[pair.left.low] = pair.right.low
-                self.side[pair.left.low] = -1
                 pair.left.low = None
             while pair.right.high is not None and pair.right.high[1] == u:
                 pair.right.high = self.ref.get(pair.right.high)
             if pair.right.high is None and pair.right.low is not None:
                 self.ref[pair.right.low] = pair.left.low
-                self.side[pair.right.low] = -1
                 pair.right.low = None
             self.stack.append(pair)
         if self.lowpt[e] < self.height[u] and self.stack:  # e has a return edge
@@ -211,7 +196,8 @@ class _LRTest:
         for v in range(self.n):
             if self.height[v] is None:
                 roots.append(v)
-                self._orient_from(v)
+                self.height[v] = 0
+                self._dfs1(v)  # recursion depth is at most n <= 64
         for v in range(self.n):
             self.ordered[v] = sorted(self.out_edges[v], key=lambda w: self.nesting[(v, w)])
         for root in roots:
@@ -227,13 +213,7 @@ def lr_planar_rows(n: int, adj) -> bool:
         return False
     if n <= 4 or m <= 8:
         return True  # K5 (10 edges) and K33 subdivisions (>= 9 edges) need more
-    old_limit = sys.getrecursionlimit()
-    if old_limit < 4 * n + 100:
-        sys.setrecursionlimit(4 * n + 100)
-    try:
-        return _LRTest(n, adj).run()
-    finally:
-        sys.setrecursionlimit(old_limit)
+    return _LRTest(n, adj).run()
 
 
 def is_planar(g: Graph) -> bool:

@@ -17,6 +17,7 @@ only ties fall through to the full canonical-labelling orbit test.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,9 +27,12 @@ from .canon import canonical_form, canonical_search, orbit_partition, refine_par
 from .ec import is_n_ec, is_n_line_ec
 from .graph6 import Graph6Error, parse_graph6
 from .graphs import Graph, bits, is_connected, _reach
-from .planarity import lr_planar_rows
+from .planarity import is_planar, lr_planar_rows
 
 MAX_SEARCH_ORDER = 12
+
+# named final checks, cheapest first; a graph is rejected by the first that fails
+_Chain = list[tuple[str, Callable[[Graph], bool]]]
 
 
 @dataclass(frozen=True)
@@ -79,23 +83,14 @@ def _pred_two_ec(g: Graph) -> bool:
     return g.n >= 2 and is_n_ec(g, 2).holds
 
 
-def _pred_planar(g: Graph) -> bool:
-    m = g.edge_count()
-    if g.n >= 3 and m > 3 * g.n - 6:
-        return False
-    if g.n <= 4 or m <= 8:
-        return True
-    return lr_planar_rows(g.n, g.adj)
-
-
-def predicate_functions(names: Sequence[str]) -> list[tuple[str, Callable[[Graph], bool]]]:
-    out: list[tuple[str, Callable[[Graph], bool]]] = []
+def predicate_functions(names: Sequence[str]) -> _Chain:
+    out: _Chain = []
     for name in names:
         if name.startswith("edge_count="):
             target = int(name.split("=", 1)[1])
             out.append((name, lambda g, m=target: g.edge_count() == m))
         elif name == "planar":
-            out.append((name, _pred_planar))
+            out.append((name, is_planar))
         elif name == "two_line_ec":
             out.append((name, _pred_two_line_ec))
         elif name == "two_ec":
@@ -105,6 +100,28 @@ def predicate_functions(names: Sequence[str]) -> list[tuple[str, Callable[[Graph
         else:
             raise ValueError(f"unknown predicate {name!r}")
     return out
+
+
+def _structural_checks(cons: SearchConstraints) -> _Chain:
+    """Chain entries for the bounds that generation enforces by construction,
+    for graphs that arrive from outside the search."""
+    out: _Chain = []
+    if cons.require_connected:
+        out.append(("connected", is_connected))
+    if cons.max_edges is not None:
+        out.append(("max_edges", lambda g: g.edge_count() <= cons.max_edges))
+    if cons.final_min_degree:
+        out.append(("min_degree", lambda g: min(g.degrees()) >= cons.final_min_degree))
+    return out
+
+
+def _survives(g: Graph, chain: _Chain, rejected: dict[str, int]) -> bool:
+    """Run g through the chain; the first failing entry gets a rejection."""
+    for name, fn in chain:
+        if not fn(g):
+            rejected[name] = rejected.get(name, 0) + 1
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +226,7 @@ def _grow(
     m_now: int,
     target: int,
     cons: SearchConstraints,
-    preds: list[tuple[str, Callable[[Graph], bool]]],
+    preds: _Chain,
     counters: dict[str, int],
     planar_prune: bool,
     frontier_at: int | None = None,
@@ -266,13 +283,7 @@ def _grow(
         if final:
             counters["generated"] += 1
             g = Graph(child_order, tuple(child))
-            ok = True
-            for name, fn in preds:
-                if not fn(g):
-                    counters[name] += 1
-                    ok = False
-                    break
-            if ok:
+            if _survives(g, preds, counters):
                 yield g
         else:
             if planar_prune and not lr_planar_rows(child_order, child):
@@ -292,21 +303,14 @@ def _enumerate_order(
 ) -> Iterator[Graph | tuple[tuple[int, ...], int]]:
     if not 1 <= target <= MAX_SEARCH_ORDER:
         raise ValueError(f"order must be 1..{MAX_SEARCH_ORDER}, got {target}")
-    root = [0]
-    if target == 1:
-        fmd = cons.final_min_degree or 0
-        if fmd > 0:
-            return
+    preds = predicate_functions(cons.predicates)
+    if target > 1:
+        yield from _grow([0], 0, target, cons, preds, counters, planar_prune, frontier_at)
+    elif (cons.final_min_degree or 0) <= 0:
         counters["generated"] += 1
         g = Graph(1, (0,))
-        for name, fn in predicate_functions(cons.predicates):
-            if not fn(g):
-                counters[name] += 1
-                return
-        yield g
-        return
-    preds = predicate_functions(cons.predicates)
-    yield from _grow(root, 0, target, cons, preds, counters, planar_prune, frontier_at)
+        if _survives(g, preds, counters):
+            yield g
 
 
 def new_counters(cons: SearchConstraints) -> dict[str, int]:
@@ -382,22 +386,28 @@ def _expand_unit(args: tuple) -> tuple[dict[str, int], list[str]]:
 def _search_one_order(
     target: int, cons: SearchConstraints, planar_prune: bool, workers: int
 ) -> tuple[dict[str, int], list[str]]:
+    """Counters and canonical survivors of one order.  With several workers
+    and a deep enough target, the tree is cut at a fixed frontier and the
+    subtrees below it become work units for a process pool."""
     counters = new_counters(cons)
-    if workers <= 1 or target <= 6:
-        survivors = [
-            canonical_form(g)  # type: ignore[arg-type]
-            for g in _enumerate_order(target, cons, counters, planar_prune)
-        ]
-        return counters, survivors
-    frontier_at = 6 if target <= 9 else 7
-    units = list(_enumerate_order(target, cons, counters, planar_prune, frontier_at))
-    jobs = [(rows, m_now, target, cons, planar_prune) for rows, m_now in units]
+    frontier_at = None
+    if workers > 1 and target > 6:
+        frontier_at = 6 if target <= 9 else 7
     survivors: list[str] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for unit_counters, unit_survivors in pool.map(_expand_unit, jobs):
-            for key, val in unit_counters.items():
-                counters[key] = counters.get(key, 0) + val
-            survivors.extend(unit_survivors)
+    jobs = []
+    for item in _enumerate_order(target, cons, counters, planar_prune, frontier_at):
+        if isinstance(item, Graph):
+            survivors.append(canonical_form(item))
+        else:
+            jobs.append((*item, target, cons, planar_prune))
+    if jobs:
+        # a fork pool starts every worker at once, so never ask for more
+        # workers than there are units or cores
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs), os.cpu_count() or 1)) as pool:
+            for unit_counters, unit_survivors in pool.map(_expand_unit, jobs):
+                for key, val in unit_counters.items():
+                    counters[key] += val
+                survivors.extend(unit_survivors)
     return counters, survivors
 
 
@@ -440,7 +450,7 @@ def filter_stream(
     they are recorded in the report and processing continues.
     """
     cons = constraints or SearchConstraints()
-    preds = predicate_functions(cons.predicates)
+    chain = _structural_checks(cons) + predicate_functions(cons.predicates)
     t0 = time.perf_counter()
     rejected: dict[str, int] = {}
     errors: list[dict] = []
@@ -448,10 +458,6 @@ def filter_stream(
     survivors: list[str] = []
     generated = 0
     max_seen = 0
-
-    def reject(key: str) -> None:
-        rejected[key] = rejected.get(key, 0) + 1
-
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         try:
@@ -467,25 +473,10 @@ def filter_stream(
         max_seen = max(max_seen, g.n)
         form = canonical_form(g)
         if form in seen:
-            reject("duplicate")
+            rejected["duplicate"] = rejected.get("duplicate", 0) + 1
             continue
         seen.add(form)
-        if cons.require_connected and not is_connected(g):
-            reject("connected")
-            continue
-        if cons.max_edges is not None and g.edge_count() > cons.max_edges:
-            reject("max_edges")
-            continue
-        if cons.final_min_degree and min(g.degrees()) < cons.final_min_degree:
-            reject("min_degree")
-            continue
-        ok = True
-        for name, fn in preds:
-            if not fn(g):
-                reject(name)
-                ok = False
-                break
-        if ok:
+        if _survives(g, chain, rejected):
             survivors.append(form)
     survivors.sort()
     wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -14,7 +14,7 @@ from itertools import combinations
 from ecgraphs.canon import canonical_form
 from ecgraphs.catalog import planar_two_line_ec_graphs
 from ecgraphs.constructions import cone, join, join_independent, paley
-from ecgraphs.ec import edge_adjacency, is_n_ec, is_n_line_ec, line_graph, xi, xi_line
+from ecgraphs.ec import is_n_ec, is_n_line_ec, line_adjacency, line_graph, xi, xi_line
 from ecgraphs.graph6 import parse_graph6
 from ecgraphs.graphs import (
     Graph,
@@ -140,7 +140,7 @@ def construction_outputs() -> tuple[Graph, ...]:
 
 
 def line_graph_has_claw(g: Graph) -> bool:
-    adj = edge_adjacency(g.edges(), g.n)
+    adj = line_adjacency(g.edges(), g.n)
     for e in range(len(adj)):
         ne = adj[e]
         f1m = ne
@@ -160,7 +160,7 @@ def line_graph_has_claw(g: Graph) -> bool:
 
 
 def line_graph_has_induced_2k2(g: Graph) -> bool:
-    adj = edge_adjacency(g.edges(), g.n)
+    adj = line_adjacency(g.edges(), g.n)
     m = len(adj)
     full = (1 << m) - 1
     for e1 in range(m):

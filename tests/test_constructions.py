@@ -67,6 +67,8 @@ def test_size_overflow_errors():
         join(big, empty_graph(2))
     with pytest.raises(GraphError):
         cone(empty_graph(64))
+    with pytest.raises(GraphError):
+        join_independent(K33, 10**12)  # refused before any row is built
 
 
 # -- paley ------------------------------------------------------------------------

@@ -4,11 +4,10 @@ from ecgraphs.canon import is_isomorphic
 from ecgraphs.ec import (
     EcVerdict,
     _ec_split_search,
-    _two_line_ec_fast,
     _verdict,
-    edge_adjacency,
     is_n_ec,
     is_n_line_ec,
+    line_adjacency,
     line_graph,
     xi,
     xi_line,
@@ -172,13 +171,12 @@ def test_xi_line_fixtures():
     assert xi_line(empty_graph(2)) == 0
 
 
-def test_fast_path_failure_falls_back_to_exact_certificate():
-    # K4 has min degree 3, so the fast path runs; on failure the certificate
-    # must still be the lexicographically least failing split
+def test_k4_line_certificate_is_first_failing_split():
+    # the certificate is the lexicographically least failing split
     k4 = complete_graph(4)
     v = is_n_line_ec(k4, 2)
     edges = k4.edges()
-    direct = _verdict(2, _ec_split_search(edge_adjacency(edges, 4), len(edges), 2), edges)
+    direct = _verdict(2, _ec_split_search(line_adjacency(edges, 4), len(edges), 2), edges)
     assert not v.holds
     assert (v.certificate_a, v.certificate_b) == (direct.certificate_a, direct.certificate_b)
     assert (v.certificate_a, v.certificate_b) == ((), ((0, 1), (0, 2)))
@@ -284,23 +282,6 @@ def test_line_graph_of_k33_contains_induced_2k2():
     # a disjoint column)
     lg, _ = line_graph(complete_bipartite(3, 3))
     assert contains_induced(lg, TWO_K2)
-
-
-def test_fast_path_matches_general():
-    # condition-(i)+(ii) verdict equals the brute-force verdict whenever the
-    # fast path applies (min degree >= 3, level 2)
-    checked = 0
-    for n in range(4, 8):
-        for g in enumerate_connected(n):
-            if min(g.degrees()) < 3:
-                continue
-            edges = g.edges()
-            adjacency = edge_adjacency(edges, g.n)
-            fast = _two_line_ec_fast(adjacency, len(edges))
-            general = _ec_split_search(adjacency, len(edges), 2) is None
-            assert fast == general
-            checked += 1
-    assert checked > 100
 
 
 def test_verdict_json_shape():

@@ -1,6 +1,25 @@
 import pytest
 
+from ecgraphs import fields
+from ecgraphs.constructions import paley
 from ecgraphs.fields import FieldError, FiniteField, factor_prime_power
+from ecgraphs.graphs import GraphError
+
+# the least irreducible modulus (ascending coefficients, monic) of every
+# extension field GF(p^k), k >= 2, up to the order cap
+MODULI = {
+    4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1), 16: (1, 1, 0, 0, 1), 25: (2, 0, 1),
+    27: (1, 2, 0, 1), 32: (1, 0, 1, 0, 0, 1), 49: (1, 0, 1), 64: (1, 1, 0, 0, 0, 0, 1),
+    81: (2, 1, 0, 0, 1), 121: (1, 0, 1), 125: (1, 1, 0, 1), 128: (1, 1, 0, 0, 0, 0, 0, 1),
+    169: (2, 0, 1), 243: (1, 2, 0, 0, 0, 1), 256: (1, 1, 0, 1, 1, 0, 0, 0, 1), 289: (3, 0, 1),
+    343: (2, 0, 0, 1), 361: (1, 0, 1), 512: (1, 1, 0, 0, 0, 0, 0, 0, 0, 1), 529: (1, 0, 1),
+    625: (2, 0, 0, 0, 1), 729: (2, 1, 0, 0, 0, 0, 1), 841: (2, 0, 1), 961: (1, 0, 1),
+    1024: (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 1331: (4, 1, 0, 1), 1369: (2, 0, 1),
+    1681: (3, 0, 1), 1849: (1, 0, 1), 2048: (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    2187: (2, 0, 1, 0, 0, 0, 0, 1), 2197: (2, 0, 0, 1), 2209: (1, 0, 1), 2401: (1, 1, 0, 0, 1),
+    2809: (2, 0, 1), 3125: (1, 4, 0, 0, 0, 1), 3481: (1, 0, 1), 3721: (2, 0, 1),
+    4096: (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+}
 
 
 def test_factor_prime_power():
@@ -84,3 +103,27 @@ def test_char2_everything_is_square():
     assert all(f.is_square(x) for x in range(16))
     squares = {f.mul(x, x) for x in range(16)}
     assert squares == set(range(16))  # Frobenius is a bijection
+
+
+def test_moduli_pinned():
+    found = {}
+    for q in range(2, fields.MAX_FIELD_ORDER + 1):
+        try:
+            _, k = factor_prime_power(q)
+        except FieldError:
+            continue
+        if k >= 2:
+            found[q] = FiniteField(q).modulus
+    assert found == MODULI
+
+
+def test_order_bounds_checked_before_factoring(monkeypatch):
+    # factoring is a loop up to q, so the size caps must refuse first
+    def refuse(q):
+        raise AssertionError(f"factored {q}")
+
+    monkeypatch.setattr(fields, "factor_prime_power", refuse)
+    with pytest.raises(FieldError):
+        FiniteField(5000)
+    with pytest.raises(GraphError):
+        paley(81)

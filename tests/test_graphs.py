@@ -7,10 +7,8 @@ from ecgraphs.canon import is_isomorphic
 from ecgraphs.catalog import named_graph
 from ecgraphs.ec import line_graph
 from ecgraphs.graphs import (
-    BasicStats,
     Graph,
     GraphError,
-    basic_stats,
     cartesian_product,
     complement,
     complete_bipartite,
@@ -221,15 +219,3 @@ def test_matching_properties(rng):
     for n in range(2, 7):
         assert max_matching_size(complete_bipartite(n, n)) == n
 
-
-# -- basic stats ------------------------------------------------------------------
-
-
-def test_basic_stats():
-    assert basic_stats(complete_bipartite(3, 3)) == BasicStats(3, 3, 9, True)
-    assert basic_stats(path_graph(4)) == BasicStats(1, 2, 3, True)
-    # figure edge lists: Tc43 is the min-degree-3 triangulation, Tc44 the
-    # pentagonal bipyramid whose equator has degree 4
-    assert basic_stats(named_graph("Tc43")) == BasicStats(3, 5, 15, True)
-    assert basic_stats(named_graph("Tc44")) == BasicStats(4, 5, 15, True)
-    assert basic_stats(TWO_K2) == BasicStats(1, 1, 2, False)

@@ -4,10 +4,11 @@ import pytest
 
 from ecgraphs.canon import is_isomorphic
 from ecgraphs.constructions import paley
-from ecgraphs.ec import is_n_line_ec, xi
+from ecgraphs.ec import is_n_line_ec, line_adjacency, line_graph, xi
 from ecgraphs.graphs import (
     Graph,
     GraphError,
+    bits,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -19,12 +20,13 @@ from ecgraphs.hypergraphs import (
     cross_join_hypergraphs,
     crossing_hypergraph,
     format_hypergraph,
-    hyperedge_adjacency,
     is_n_line_ec_hyper,
     line_graph_of_hypergraph,
     parse_hypergraph,
     star_dual,
 )
+
+from ecgraphs.search import enumerate_connected
 
 from conftest import random_connected_graph
 
@@ -45,8 +47,8 @@ def test_hypergraph_validation():
         Hypergraph.from_vertex_sets(3, [[0, 1], [1, 0]])  # duplicate after sorting
     h = Hypergraph.from_vertex_sets(4, [[2, 3], [0, 1]])
     assert h.edges == (0b0011, 0b1100)
-    assert h.uniformity() == 2 and h.is_uniform(2)
-    assert Hypergraph.from_vertex_sets(3, [[0], [0, 1]]).uniformity() is None
+    assert h.is_uniform(2)
+    assert not Hypergraph.from_vertex_sets(3, [[0], [0, 1]]).is_uniform(2)
 
 
 def test_text_format_roundtrip():
@@ -230,10 +232,32 @@ def test_cross_join_validation():
         cross_join_hypergraphs(h2, small, 2)  # |V2| < 2k-1
 
 
+def test_cross_join_needs_edge_size_two():
+    # for k = 1 no edge can meet both sides; refused like crossing_hypergraph
+    h = Hypergraph.from_vertex_sets(3, [[0], [1], [2]])
+    with pytest.raises(HypergraphError):
+        cross_join_hypergraphs(h, h, 1)
+
+
 def test_hyperedge_adjacency_matches_intersections():
     h = crossing_hypergraph(3, 2, 2)
-    adj = hyperedge_adjacency(h)
+    adj = line_adjacency([tuple(bits(e)) for e in h.edges], h.n)
     for i in range(len(h.edges)):
         for j in range(len(h.edges)):
             if i != j:
                 assert bool(adj[i] >> j & 1) == bool(h.edges[i] & h.edges[j])
+
+
+def test_graph_and_hypergraph_line_modes_agree():
+    # graph mode lists edges lexicographically, hypergraph mode by bitmask;
+    # both item orders go through the same builder and must give the same
+    # verdicts and isomorphic line graphs
+    checked = 0
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            h = Hypergraph.from_vertex_sets(g.n, g.edges())
+            for level in range(1, min(3, g.edge_count()) + 1):
+                assert is_n_line_ec(g, level).holds == is_n_line_ec_hyper(h, level).holds
+            assert is_isomorphic(line_graph(g)[0], line_graph_of_hypergraph(h))
+            checked += 1
+    assert checked == 1 + 2 + 6 + 21 + 112
