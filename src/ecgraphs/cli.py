@@ -9,6 +9,7 @@ input errors.  Graphs travel as graph6 (one per line), hypergraphs in the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Sequence
@@ -35,22 +36,22 @@ class CliError(Exception):
     """Input or usage problem; maps to exit status 2."""
 
 
-def _read_text(path: str) -> str:
+def _open_text(path: str):
     if path == "-":
-        return sys.stdin.read()
+        return contextlib.nullcontext(sys.stdin)
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+        return open(path, "r", encoding="ascii")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _graph_lines(text: str) -> list[str]:
-    return [ln.strip() for ln in text.splitlines() if ln.strip()]
+def _read_text(path: str) -> str:
+    with _open_text(path) as fh:
+        return fh.read()
 
 
 def _read_graphs(path: str, count: int) -> list[Graph]:
-    lines = _graph_lines(_read_text(path))
+    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
     if len(lines) < count:
         raise CliError(f"expected {count} graph6 line(s), found {len(lines)}")
     try:
@@ -261,8 +262,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 0
     if cmd == "filter":
         cons = _constraints_from_args(args)
-        lines = _read_text(args.input).splitlines()
-        report = filter_stream(lines, cons, lenient=args.lenient)
+        with _open_text(args.input) as fh:
+            # one line at a time, split exactly as str.splitlines splits
+            lines = (piece for raw in fh for piece in raw.splitlines())
+            report = filter_stream(lines, cons, lenient=args.lenient)
         _report_out(report, args.format)
         return 0
     raise CliError(f"unknown command {cmd!r}")  # unreachable

@@ -7,7 +7,8 @@ items are vertices and the bitsets are the graph's rows; in line mode the
 items are graph edges or hyperedges, two of them adjacent when they share a
 vertex, and ``line_adjacency`` builds the bitsets for both.  The bitsets are
 arbitrary-width ints, so line mode never materializes a line graph and is not
-bound by the 64-vertex cap.
+bound by the 64-vertex cap.  One split search, ``_ec_split_search``, decides
+every level in every mode, and ``xi``/``xi_line`` ascend through it.
 """
 
 from __future__ import annotations
@@ -45,52 +46,53 @@ class EcVerdict:
 
 
 def _ec_split_search(adjacency: Sequence[int], count: int, level: int) -> tuple[int, ...] | None:
-    """First failing (subset, assignment) pair, or None if the property holds.
+    """First failing split packed as ``(*subset, a)`` in the certificate
+    order, or None if the property holds.
 
-    Returns the failing subset plus assignment packed as ``(*subset, a)``.
+    One loop serves every level.  Each (level-1)-prefix, in lexicographic
+    order, splits the other items into cells by adjacency to the prefix (bit
+    t of a cell's index set: the cell lies in the neighbourhood of prefix
+    item t).  A later item j completes a failing subset exactly when some
+    cell holds no neighbour of j or no non-neighbour other than j, so OR-ing
+    each cell's rows into ``meet`` and AND-ing ``row | bit(v)`` into
+    ``common`` marks every such j at once.  That reads j's neighbours off the
+    rows of the cell members, so the adjacency must be symmetric and
+    loop-free, as ``Graph`` rows and ``line_adjacency`` output are.
     """
     full = (1 << count) - 1
-    if level == 2:
-        for i in range(count - 1):
-            ai = adjacency[i]
-            for j in range(i + 1, count):
-                aj = adjacency[j]
-                rest = full & ~(1 << i) & ~(1 << j)
-                if not rest & ~ai & ~aj:
-                    return (i, j, 0)
-                if not rest & ai & ~aj:
-                    return (i, j, 1)
-                if not rest & ~ai & aj:
-                    return (i, j, 2)
-                if not rest & ai & aj:
-                    return (i, j, 3)
-        return None
-    for subset in combinations(range(count), level):
-        sbits = 0
-        for s in subset:
-            sbits |= 1 << s
-        rest = full & ~sbits
-        for a in range(1 << level):
-            w = rest
-            for t in range(level):
-                if a >> t & 1:
-                    w &= adjacency[subset[t]]
-                else:
-                    w &= ~adjacency[subset[t]]
-                if not w:
-                    break
-            if not w:
-                return subset + (a,)
+    for prefix in combinations(range(count - 1), level - 1):
+        cells = [full]
+        for s in prefix:
+            row = adjacency[s]
+            cells = [c & ~row & ~(1 << s) for c in cells] + [c & row for c in cells]
+        later = full & ~((2 << prefix[-1]) - 1) if prefix else full
+        ok = later
+        for c in cells:
+            meet, common = 0, -1
+            while c:
+                low = c & -c
+                row = adjacency[low.bit_length() - 1]
+                meet |= row
+                common &= row | low
+                c ^= low
+            ok &= meet & ~common
+            if not ok:
+                break
+        if ok != later:
+            failing = later & ~ok
+            j = (failing & -failing).bit_length() - 1
+            row = adjacency[j]
+            split = [c & ~row & ~(1 << j) for c in cells] + [c & row for c in cells]
+            return (*prefix, j, split.index(0))
     return None
 
 
-def _verdict(level: int, failure: tuple[int, ...] | None, items: Sequence[Any] | None) -> EcVerdict:
+def _verdict(level: int, failure: tuple[int, ...] | None, items: Sequence[Any]) -> EcVerdict:
     if failure is None:
         return EcVerdict(level, True)
     *subset, a = failure
-    pick = (lambda s: items[s]) if items is not None else (lambda s: s)
-    cert_a = tuple(pick(s) for t, s in enumerate(subset) if a >> t & 1)
-    cert_b = tuple(pick(s) for t, s in enumerate(subset) if not a >> t & 1)
+    cert_a = tuple(items[s] for t, s in enumerate(subset) if a >> t & 1)
+    cert_b = tuple(items[s] for t, s in enumerate(subset) if not a >> t & 1)
     return EcVerdict(level, False, cert_a, cert_b)
 
 
@@ -98,21 +100,21 @@ def is_n_ec(g: Graph, n: int) -> EcVerdict:
     """Decide whether g is n-existentially closed over vertices."""
     if not 1 <= n <= g.n:
         raise GraphError(f"level must be 1..{g.n} for this graph, got {n}")
-    return _verdict(n, _ec_split_search(g.adj, g.n, n), None)
+    return _verdict(n, _ec_split_search(g.adj, g.n, n), range(g.n))
+
+
+def _closure_number(adjacency: Sequence[int], count: int) -> int:
+    """Largest level the split search passes; ascending stops at the first
+    failure, which is valid because the property is monotone."""
+    level = 0
+    while level < count and _ec_split_search(adjacency, count, level + 1) is None:
+        level += 1
+    return level
 
 
 def xi(g: Graph) -> int:
-    """Largest n for which g is n-e.c.; 0 when not even 1-e.c.
-
-    Ascends from 1 and stops at the first failure, which is valid because the
-    property is monotone in n.
-    """
-    level = 0
-    while level < g.n:
-        if not is_n_ec(g, level + 1).holds:
-            break
-        level += 1
-    return level
+    """Largest n for which g is n-e.c.; 0 when not even 1-e.c."""
+    return _closure_number(g.adj, g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -164,36 +166,14 @@ def is_n_line_ec(g: Graph, n: int) -> EcVerdict:
     return _verdict(n, _ec_split_search(line_adjacency(edges, g.n), m, n), edges)
 
 
-def _has_three_disjoint(adjacency: Sequence[int], count: int) -> bool:
-    for i in range(count):
-        ai = adjacency[i]
-        for j in range(i + 1, count):
-            if ai >> j & 1:
-                continue
-            both = ai | adjacency[j] | (1 << i) | (1 << j)
-            if both.bit_count() < count:
-                return True
-    return False
-
-
 def xi_line(g: Graph) -> int:
     """Largest n for which g is n-line e.c.; 0 when not even 1-line e.c.
 
-    Level 3 is first disproved by exhibiting three pairwise disjoint edges (no
-    edge can meet all three), falling back to full enumeration when the graph
-    has no such triple; the theorem that the value never exceeds 2 is asserted.
+    Every level, the third included, is decided by the one split search over
+    one adjacency list; the theorem that the value never exceeds 2 is asserted.
     """
     edges = g.edges()
-    m = len(edges)
-    level = 0
-    while level < m:
-        nxt = level + 1
-        if nxt == 3:
-            if _has_three_disjoint(line_adjacency(edges, g.n), m):
-                break
-        if not is_n_line_ec(g, nxt).holds:
-            break
-        level = nxt
+    level = _closure_number(line_adjacency(edges, g.n), len(edges))
     if level > 2:
         raise AssertionError(f"graph found {level}-line e.c.; levels beyond 2 are impossible")
     return level

@@ -120,42 +120,41 @@ def permute_rows(adj: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
 # standard families
 
 
-def empty_graph(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("empty graph needs at least one vertex")
-    if n > MAX_VERTICES:  # refuse before allocating n rows
+def _check_order(n: int, least: int, too_small: str) -> None:
+    """Refuse an order below ``least`` or above 64 before any O(n^2)-bit rows exist."""
+    if n < least:
+        raise GraphError(too_small)
+    if n > MAX_VERTICES:
         raise GraphError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex limit")
+
+
+def empty_graph(n: int) -> Graph:
+    _check_order(n, 1, "empty graph needs at least one vertex")
     return Graph(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("complete graph needs at least one vertex")
+    _check_order(n, 1, "complete graph needs at least one vertex")
     full = (1 << n) - 1
     return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("path needs at least one vertex")
+    _check_order(n, 1, "path needs at least one vertex")
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GraphError("cycle needs at least three vertices")
+    _check_order(n, 3, "cycle needs at least three vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_multipartite(parts: Sequence[int]) -> Graph:
     """Complete multipartite graph with vertices grouped in block order."""
-    if not parts:
-        raise GraphError("at least one part required")
     if any(p < 1 for p in parts):
         raise GraphError("zero or negative part size")
     n = sum(parts)
-    if n > MAX_VERTICES:
-        raise GraphError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex limit")
+    _check_order(n, 1, "at least one part required")
     full = (1 << n) - 1
     rows = []
     start = 0

@@ -190,11 +190,7 @@ def _accepts(rows: list[int], connected: bool) -> bool:
 def _neighborhood_orbit_reps(k: int, rows: Sequence[int]) -> set[int] | None:
     """One representative neighbourhood per automorphism orbit, or None when
     the group is trivial and every subset is its own representative."""
-    full = (1 << k) - 1
-    cells = refine_partition(k, rows, [full])
-    if len(cells) == k:
-        return None
-    _, gens = canonical_search(k, rows)
+    _, gens = canonical_search(k, rows)  # no generators when refinement is discrete
     if not gens:
         return None
     maps = [[1 << g[v] for v in range(k)] for g in gens]
@@ -228,7 +224,6 @@ def _grow(
     cons: SearchConstraints,
     preds: _Chain,
     counters: dict[str, int],
-    planar_prune: bool,
     frontier_at: int | None = None,
 ) -> Iterator[Graph | tuple[tuple[int, ...], int]]:
     """Expand an accepted graph towards ``target`` vertices, yielding survivors.
@@ -286,27 +281,31 @@ def _grow(
             if _survives(g, preds, counters):
                 yield g
         else:
-            if planar_prune and not lr_planar_rows(child_order, child):
+            # a chain led by planar prunes: ancestors are induced subgraphs,
+            # so a nonplanar one has no planar descendant
+            if cons.predicates[:1] == ("planar",) and not lr_planar_rows(child_order, child):
                 continue
             if frontier_at is not None and child_order == frontier_at:
                 yield tuple(child), m_now + sz
             else:
-                yield from _grow(child, m_now + sz, target, cons, preds, counters, planar_prune, frontier_at)
+                yield from _grow(child, m_now + sz, target, cons, preds, counters, frontier_at)
 
 
 def _enumerate_order(
     target: int,
     cons: SearchConstraints,
     counters: dict[str, int],
-    planar_prune: bool = False,
     frontier_at: int | None = None,
 ) -> Iterator[Graph | tuple[tuple[int, ...], int]]:
     if not 1 <= target <= MAX_SEARCH_ORDER:
         raise ValueError(f"order must be 1..{MAX_SEARCH_ORDER}, got {target}")
     preds = predicate_functions(cons.predicates)
+    fmd = cons.final_min_degree or 0
     if target > 1:
-        yield from _grow([0], 0, target, cons, preds, counters, planar_prune, frontier_at)
-    elif (cons.final_min_degree or 0) <= 0:
+        # min degree fmd forces target * fmd / 2 edges, so nothing fits a smaller budget
+        if cons.max_edges is None or target * fmd <= 2 * cons.max_edges:
+            yield from _grow([0], 0, target, cons, preds, counters, frontier_at)
+    elif fmd <= 0:
         counters["generated"] += 1
         g = Graph(1, (0,))
         if _survives(g, preds, counters):
@@ -324,9 +323,7 @@ def enumerate_connected(order: int, constraints: SearchConstraints | None = None
     """Exactly one representative per isomorphism class of (by default
     connected) graphs on ``order`` vertices satisfying the constraints."""
     cons = constraints or SearchConstraints()
-    counters = new_counters(cons)
-    for item in _enumerate_order(order, cons, counters):
-        yield item  # type: ignore[misc]
+    yield from _enumerate_order(order, cons, new_counters(cons))  # type: ignore[misc]
 
 
 # ---------------------------------------------------------------------------
@@ -336,56 +333,37 @@ def enumerate_connected(order: int, constraints: SearchConstraints | None = None
 _NAMED = {"planar_2lec", "min_2ec", "nine_edge_2lec"}
 
 
-def _constraints_for(name: str, order: int) -> tuple[SearchConstraints, bool]:
-    """(constraints, intermediate_planar_prune) for one target order."""
+def _constraints_for(name: str, order: int) -> SearchConstraints:
     if name == "planar_2lec":
         max_edges = 3 * order - 6 if order >= 3 else None
-        return (
-            SearchConstraints(
-                max_edges=max_edges,
-                final_min_degree=3,
-                predicates=("planar", "two_line_ec"),
-            ),
-            True,
+        return SearchConstraints(
+            max_edges=max_edges,
+            final_min_degree=3,
+            predicates=("planar", "two_line_ec"),
         )
     if name == "min_2ec":
         # a 2-e.c. graph has min degree >= 4: each open neighbourhood induces a
         # graph with no isolated and no universal vertex, impossible on <= 3
         # vertices, so every neighbourhood has at least 4 members
-        return SearchConstraints(final_min_degree=4, predicates=("two_ec",)), False
+        return SearchConstraints(final_min_degree=4, predicates=("two_ec",))
     if name == "nine_edge_2lec":
-        return (
-            SearchConstraints(
-                max_edges=9,
-                final_min_degree=3,
-                predicates=("edge_count=9", "two_line_ec"),
-            ),
-            False,
+        return SearchConstraints(
+            max_edges=9,
+            final_min_degree=3,
+            predicates=("edge_count=9", "two_line_ec"),
         )
     raise ValueError(f"unknown named search {name!r}")
 
 
-def _orders_for(name: str, max_order: int) -> range:
-    if name == "nine_edge_2lec":
-        # 9 edges with min degree 3 force at most 2*9/3 = 6 vertices
-        return range(1, min(max_order, 6) + 1)
-    return range(1, max_order + 1)
-
-
 def _expand_unit(args: tuple) -> tuple[dict[str, int], list[str]]:
-    rows, m_now, target, cons, planar_prune = args
+    rows, m_now, target, cons = args
     counters = new_counters(cons)
     preds = predicate_functions(cons.predicates)
-    survivors = [
-        canonical_form(g)
-        for g in _grow(list(rows), m_now, target, cons, preds, counters, planar_prune)
-    ]
+    survivors = [canonical_form(g) for g in _grow(list(rows), m_now, target, cons, preds, counters)]
     return counters, survivors
 
 
-def _search_one_order(
-    target: int, cons: SearchConstraints, planar_prune: bool, workers: int
-) -> tuple[dict[str, int], list[str]]:
+def _search_one_order(target: int, cons: SearchConstraints, workers: int) -> tuple[dict[str, int], list[str]]:
     """Counters and canonical survivors of one order.  With several workers
     and a deep enough target, the tree is cut at a fixed frontier and the
     subtrees below it become work units for a process pool."""
@@ -395,11 +373,11 @@ def _search_one_order(
         frontier_at = 6 if target <= 9 else 7
     survivors: list[str] = []
     jobs = []
-    for item in _enumerate_order(target, cons, counters, planar_prune, frontier_at):
+    for item in _enumerate_order(target, cons, counters, frontier_at):
         if isinstance(item, Graph):
             survivors.append(canonical_form(item))
         else:
-            jobs.append((*item, target, cons, planar_prune))
+            jobs.append((*item, target, cons))
     if jobs:
         # a fork pool starts every worker at once, so never ask for more
         # workers than there are units or cores
@@ -422,9 +400,8 @@ def run_named_search(name: str, max_order: int, workers: int = 1) -> SearchRepor
     generated = 0
     rejected: dict[str, int] = {}
     survivors: list[str] = []
-    for order in _orders_for(norm, max_order):
-        cons, planar_prune = _constraints_for(norm, order)
-        counters, found = _search_one_order(order, cons, planar_prune, workers)
+    for order in range(1, max_order + 1):
+        counters, found = _search_one_order(order, _constraints_for(norm, order), workers)
         generated += counters.pop("generated")
         for key, val in counters.items():
             rejected[key] = rejected.get(key, 0) + val

@@ -89,6 +89,24 @@ def brute_orbit_partition(g: Graph) -> list[int]:
     return out
 
 
+def brute_first_failure(adjacency, count: int, level: int):
+    """Definitional closure search: every subset in lexicographic order, then
+    every assignment mask ascending (bit t puts subset[t] in A); the first
+    split no outside item covers, packed as ``(*subset, a)``, or None."""
+    full = (1 << count) - 1
+    for subset in combinations(range(count), level):
+        rest = full
+        for s in subset:
+            rest &= ~(1 << s)
+        for a in range(1 << level):
+            w = rest
+            for t, s in enumerate(subset):
+                w &= adjacency[s] if a >> t & 1 else ~adjacency[s]
+            if not w:
+                return subset + (a,)
+    return None
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xEC)

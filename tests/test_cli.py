@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -182,6 +183,22 @@ def test_filter(capsys, tmp_path):
     assert code == 0
     assert payload["counts"]["per_filter_rejected"]["planar"] == 2  # K33 and K5
     assert payload["survivors"] == []
+
+
+def test_filter_streams_its_input(capsys, tmp_path):
+    # peak memory must not grow with the number of input lines
+    peaks = []
+    for copies in (2_000, 20_000):
+        stream = tmp_path / f"copies{copies}.g6"
+        stream.write_text("@\n" * copies)
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "filter", str(stream))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["counts"]["generated"] == copies
+    assert peaks[1] - peaks[0] < 200_000, peaks
 
 
 def test_filter_lenient(capsys, tmp_path):

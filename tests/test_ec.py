@@ -26,9 +26,9 @@ from ecgraphs.graphs import (
     empty_graph,
     path_graph,
 )
-from ecgraphs.search import enumerate_connected
+from ecgraphs.search import SearchConstraints, enumerate_connected
 
-from conftest import random_graph
+from conftest import brute_first_failure, random_graph
 
 ROOK = cartesian_product(complete_graph(3), complete_graph(3))
 TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -180,6 +180,36 @@ def test_k4_line_certificate_is_first_failing_split():
     assert not v.holds
     assert (v.certificate_a, v.certificate_b) == (direct.certificate_a, direct.certificate_b)
     assert (v.certificate_a, v.certificate_b) == ((), ((0, 1), (0, 2)))
+
+
+def test_split_search_matches_definitional_search():
+    # every graph with n <= 6 and every connected graph with n = 7, levels
+    # 1-4, in vertex mode and in line mode: same first failing split
+    cases = 0
+    for n in range(1, 8):
+        for g in enumerate_connected(n, SearchConstraints(require_connected=n == 7)):
+            edges = g.edges()
+            modes = [(list(g.adj), g.n), (line_adjacency(edges, g.n), len(edges))]
+            for adjacency, count in modes:
+                for level in range(1, 5):
+                    got = _ec_split_search(adjacency, count, level)
+                    assert got == brute_first_failure(adjacency, count, level), (g.adj, count, level)
+                    cases += 1
+    assert cases == 8 * (1 + 2 + 4 + 11 + 34 + 156 + 853)
+
+
+def test_split_search_matches_definitional_search_on_hypergraphs(rng):
+    # seeded random hypergraphs with edge sizes 2-4, levels 1-5
+    for _ in range(1000):
+        n = rng.randrange(4, 10)
+        masks = set()
+        for _ in range(rng.randrange(1, 15)):
+            masks.add(sum(1 << v for v in rng.sample(range(n), rng.randrange(2, 5))))
+        items = [tuple(bits(e)) for e in sorted(masks)]
+        adjacency = line_adjacency(items, n)
+        for level in range(1, 6):
+            got = _ec_split_search(adjacency, len(items), level)
+            assert got == brute_first_failure(adjacency, len(items), level), (items, level)
 
 
 def test_line_certificates_are_endpoint_pairs():

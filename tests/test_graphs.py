@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -75,6 +76,19 @@ def test_family_errors():
         standard_family("nonesuch", [1])
     with pytest.raises(GraphError):
         cycle_graph(2)
+
+
+def test_family_order_refused_before_allocation():
+    # n-bit rows for n vertices would cost O(n^2) memory before the limit check
+    for make in (complete_graph, path_graph, cycle_graph):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError):
+                make(5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (make.__name__, peak)
 
 
 def test_standard_family_dispatch():

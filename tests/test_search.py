@@ -25,6 +25,7 @@ from conftest import all_labeled_graphs, random_permutation
 # published census: connected graphs and all graphs up to isomorphism
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 ALL_COUNTS = [1, 2, 4, 11, 34, 156]
+PLANAR_CONNECTED_COUNTS = [1, 1, 2, 6, 20, 99, 646]  # OEIS A003094
 
 
 def test_connected_counts():
@@ -191,6 +192,20 @@ def test_pruning_soundness_edge_bound():
         a = sorted(canonical_form(g) for g in enumerate_connected(n, pruned))
         b = sorted(canonical_form(g) for g in enumerate_connected(n, free))
         assert a == b
+
+
+def test_planar_first_chain_prunes_without_losing_survivors():
+    # a chain that starts with planar prunes nonplanar intermediate graphs;
+    # "connected" first (always true here) turns pruning off
+    for n in range(1, 8):
+        runs = []
+        for preds in (("planar",), ("connected", "planar")):
+            cons = SearchConstraints(predicates=preds)
+            counters = search.new_counters(cons)
+            runs.append(([canonical_form(g) for g in search._enumerate_order(n, cons, counters)], counters))
+        (pruned, pc), (full, fc) = runs
+        assert pruned == full and len(pruned) == PLANAR_CONNECTED_COUNTS[n - 1]
+        assert (pc["generated"] < fc["generated"]) == (n >= 6)  # K5 is the first nonplanar graph
 
 
 # -- filter_stream ------------------------------------------------------------------
