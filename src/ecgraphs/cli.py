@@ -84,9 +84,20 @@ def _constraints_from_args(args: argparse.Namespace) -> SearchConstraints:
     )
 
 
+def _non_negative(text: str) -> int:
+    """argparse type for a bound that cannot be negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_constraint_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-edges", type=int, default=None)
-    sub.add_argument("--min-degree", type=int, default=None, dest="min_degree")
+    sub.add_argument("--max-edges", type=_non_negative, default=None)
+    sub.add_argument("--min-degree", type=_non_negative, default=None, dest="min_degree")
     sub.add_argument("--allow-disconnected", action="store_true")
     sub.add_argument(
         "--predicate",

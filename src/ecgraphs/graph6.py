@@ -9,6 +9,8 @@ field: one byte 63+n for n <= 62, or the 4-byte long form (126 then three
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .graphs import MAX_VERTICES, Graph
 
 HEADER = ">>graph6<<"
@@ -77,7 +79,11 @@ def parse_graph6(text: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    n = g.n
+    return encode_graph6(g.n, g.adj)
+
+
+def encode_graph6(n: int, adj: Sequence[int]) -> str:
+    """graph6 text of adjacency rows that are already known to be a simple graph."""
     if n <= 62:
         head = chr(63 + n)
     else:
@@ -87,7 +93,7 @@ def write_graph6(g: Graph) -> str:
     nbits = 0
     for j in range(1, n):
         for i in range(j):
-            acc = acc << 1 | (g.adj[i] >> j & 1)
+            acc = acc << 1 | (adj[i] >> j & 1)
             nbits += 1
             if nbits == 6:
                 chunks.append(chr(63 + acc))

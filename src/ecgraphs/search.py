@@ -181,7 +181,7 @@ def _accepts(rows: list[int], connected: bool) -> bool:
     if cstar == 1 << vn:
         return True
 
-    perm, gens = canonical_search(k, rows)
+    perm, gens, _ = canonical_search(k, rows)
     orb = orbit_partition(k, gens)
     chosen = min(bits(cstar), key=lambda v: perm[v])
     return orb[chosen] == orb[vn]
@@ -190,7 +190,7 @@ def _accepts(rows: list[int], connected: bool) -> bool:
 def _neighborhood_orbit_reps(k: int, rows: Sequence[int]) -> set[int] | None:
     """One representative neighbourhood per automorphism orbit, or None when
     the group is trivial and every subset is its own representative."""
-    _, gens = canonical_search(k, rows)  # no generators when refinement is discrete
+    _, gens, _ = canonical_search(k, rows)  # no generators when refinement is discrete
     if not gens:
         return None
     maps = [[1 << g[v] for v in range(k)] for g in gens]
@@ -301,10 +301,11 @@ def _enumerate_order(
         raise ValueError(f"order must be 1..{MAX_SEARCH_ORDER}, got {target}")
     preds = predicate_functions(cons.predicates)
     fmd = cons.final_min_degree or 0
+    # min degree fmd forces target * fmd / 2 edges, so nothing fits a smaller budget
+    if cons.max_edges is not None and target * fmd > 2 * cons.max_edges:
+        return
     if target > 1:
-        # min degree fmd forces target * fmd / 2 edges, so nothing fits a smaller budget
-        if cons.max_edges is None or target * fmd <= 2 * cons.max_edges:
-            yield from _grow([0], 0, target, cons, preds, counters, frontier_at)
+        yield from _grow([0], 0, target, cons, preds, counters, frontier_at)
     elif fmd <= 0:
         counters["generated"] += 1
         g = Graph(1, (0,))

@@ -3,6 +3,7 @@ the implementation paths they check."""
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, permutations
 
@@ -87,6 +88,82 @@ def brute_orbit_partition(g: Graph) -> list[int]:
             ids[r] = len(ids)
         out.append(ids[r])
     return out
+
+
+def brute_automorphism_count(g: Graph) -> int:
+    """Number of automorphisms, by extending partial maps vertex by vertex and
+    keeping only those that preserve adjacency and non-adjacency so far."""
+    n = g.n
+    deg = g.degrees()
+    image = [0] * n
+    count = 0
+
+    def extend(v: int, used: int) -> None:
+        nonlocal count
+        if v == n:
+            count += 1
+            return
+        for w in range(n):
+            if used >> w & 1 or deg[w] != deg[v]:
+                continue
+            if all((g.adj[u] >> v & 1) == (g.adj[image[u]] >> w & 1) for u in range(v)):
+                image[v] = w
+                extend(v + 1, used | 1 << w)
+
+    extend(0, 0)
+    return count
+
+
+def group_order(n: int, gens) -> int:
+    """Order of the permutation group on range(n) generated by ``gens``
+    (deterministic Schreier-Sims: a base, a strong generating set and one
+    transversal per level; every Schreier generator sifts to the identity)."""
+    identity = tuple(range(n))
+    levels: list[list] = []  # [base point, generators fixing earlier base points, transversal]
+
+    def inverse(p):
+        out = [0] * n
+        for x, y in enumerate(p):
+            out[y] = x
+        return tuple(out)
+
+    def sift(g, i):
+        while i < len(levels):
+            b, _, trans = levels[i]
+            if g[b] not in trans:
+                break
+            u = inverse(trans[g[b]])
+            g = tuple(u[y] for y in g)
+            i += 1
+        return g, i
+
+    def add(g, i):  # g fixes the base points of the levels before i
+        g, j = sift(g, i)
+        if g == identity:
+            return
+        if j == len(levels):
+            b = next(x for x in range(n) if g[x] != x)
+            levels.append([b, [], {b: identity}])
+        for k in range(j, i - 1, -1):
+            levels[k][1].append(g)
+            close(k)
+
+    def close(k):
+        _, level_gens, trans = levels[k]
+        queue = list(trans)
+        for x in queue:
+            for s in level_gens:
+                if s[x] not in trans:
+                    trans[s[x]] = tuple(s[t] for t in trans[x])
+                    queue.append(s[x])
+        for x in list(trans):
+            for s in list(level_gens):
+                u = inverse(trans[s[x]])
+                add(tuple(u[s[t]] for t in trans[x]), k + 1)
+
+    for g in gens:
+        add(tuple(g), 0)
+    return math.prod(len(trans) for _, _, trans in levels)
 
 
 def brute_first_failure(adjacency, count: int, level: int):

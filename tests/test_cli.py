@@ -225,6 +225,22 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_negative_bounds_exit_two(capsys, k33_file):
+    for argv in (
+        ["enumerate", "--order", "1", "--max-edges", "-1"],
+        ["enumerate", "--order", "3", "--min-degree", "-2"],
+        ["filter", "--max-edges=-1", k33_file],
+        ["filter", "--min-degree", "-1", k33_file],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be >= 0" in captured.err
+    code, out, _ = run_cli(capsys, "enumerate", "--order", "1", "--max-edges", "0")
+    assert code == 0 and out == "@\n"
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "xi", "/nonexistent/path.g6")
     assert code == 2 and "cannot read" in err

@@ -33,6 +33,11 @@ def test_connected_counts():
         assert sum(1 for _ in enumerate_connected(n)) == expected
 
 
+@pytest.mark.slow
+def test_connected_count_order_nine():
+    assert sum(1 for _ in enumerate_connected(9)) == 261080  # OEIS A001349
+
+
 def test_all_graph_counts():
     cons = SearchConstraints(require_connected=False)
     for n, expected in enumerate(ALL_COUNTS, start=1):
@@ -83,6 +88,17 @@ def test_max_edges_constraint():
     for g in enumerate_connected(6, cons):
         assert g.edge_count() <= 5  # trees only at order 6
     assert sum(1 for _ in enumerate_connected(6, cons)) == 6  # six trees on 6 vertices
+
+
+def test_order_one_obeys_edge_bound():
+    # K1 has no edges: it fits a budget of 0 but not a negative one, at order 1
+    # exactly as at higher orders and in filter
+    k1 = write_graph6(complete_graph(1))
+    assert [canonical_form(g) for g in enumerate_connected(1, SearchConstraints(max_edges=0))] == [k1]
+    assert list(enumerate_connected(1, SearchConstraints(max_edges=-1))) == []
+    assert list(enumerate_connected(2, SearchConstraints(max_edges=-1))) == []
+    rep = filter_stream([k1], SearchConstraints(max_edges=-1))
+    assert rep.survivors == [] and rep.per_filter_rejected == {"max_edges": 1}
 
 
 def test_min_degree_constraint():
