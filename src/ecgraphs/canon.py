@@ -70,19 +70,17 @@ def refine_partition(n: int, adj: Sequence[int], cells: list[int], work: list[in
     return cells
 
 
-def canonical_search(n: int, adj: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...]]:
+def canonical_search(n: int, adj: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]]]:
     """Canonical labelling and automorphism generators of a raw adjacency list.
 
-    Returns ``(perm, generators, rows)`` where ``perm[v]`` is the canonical
-    label of vertex v, the generators (vertex permutations fixing the graph)
-    generate the whole automorphism group, and ``rows`` are the adjacency rows
-    relabelled by ``perm``.
+    Returns ``(perm, generators)`` where ``perm[v]`` is the canonical label of
+    vertex v and the generators (vertex permutations fixing the graph)
+    generate the whole automorphism group.
     """
     full = (1 << n) - 1
     cells = refine_partition(n, adj, [full])
     if len(cells) == n:  # discrete: trivial automorphism group, no search
-        perm = _leaf_perm(n, cells)
-        return perm, [], permute_rows(adj, perm)
+        return _leaf_perm(n, cells), []
 
     identity = tuple(range(n))
     gens: list[tuple[int, ...]] = []
@@ -153,7 +151,7 @@ def canonical_search(n: int, adj: Sequence[int]) -> tuple[list[int], list[tuple[
         return depth
 
     descend(cells, [])
-    return list(best[1]), gens, best[0]
+    return list(best[1]), gens
 
 
 def _leaf_perm(n: int, cells: list[int]) -> list[int]:
@@ -173,8 +171,8 @@ def _common_prefix(a: list[int], b: list[int]) -> int:
 
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 string: equal strings iff isomorphic graphs."""
-    _, _, rows = canonical_search(g.n, g.adj)
-    return encode_graph6(g.n, rows)
+    perm, _ = canonical_search(g.n, g.adj)
+    return encode_graph6(g.n, permute_rows(g.adj, perm))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -184,7 +182,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    _, gens, _ = canonical_search(g.n, g.adj)
+    _, gens = canonical_search(g.n, g.adj)
     return gens
 
 

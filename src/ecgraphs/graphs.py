@@ -96,6 +96,9 @@ class Graph:
         pos = {v: i for i, v in enumerate(vertices)}
         if len(pos) != k:
             raise GraphError("duplicate vertices in induced subgraph request")
+        bad = next((v for v in vertices if not 0 <= v < self.n), None)
+        if bad is not None:
+            raise GraphError(f"vertex {bad} out of range for n={self.n}")
         rows = [0] * k
         for i, v in enumerate(vertices):
             for u in bits(self.adj[v]):

@@ -10,9 +10,12 @@ independent subtrees for parallel runs, and pruning hooks (edge budgets,
 final-min-degree lookahead, intermediate planarity) never lose survivors
 because ancestors inherit the pruned bounds.
 
-Acceptance is staged so the common case is cheap: a cheaper-degree eligible
-vertex rejects immediately, a discrete refinement accepts without search, and
-only ties fall through to the full canonical-labelling orbit test.
+Acceptance is one rule with one per-vertex eligibility predicate (removing
+the vertex keeps the rest connected, when connectivity is required), tested
+lazily with early exit: an eligible vertex of smaller degree rejects before
+any refinement, an eligible vertex in an earlier cell rejects after it, and
+only an eligible rival in the newest vertex's own cell calls for the
+canonical-labelling orbit test.
 """
 
 from __future__ import annotations
@@ -128,69 +131,45 @@ def _survives(g: Graph, chain: _Chain, rejected: dict[str, int]) -> bool:
 # canonical augmentation
 
 
-def _non_cut_mask(rows: Sequence[int], k: int) -> int:
-    """Vertices whose removal leaves the rest connected (k-1 >= 1 vertices)."""
-    if k == 1:
-        return 1
-    full = (1 << k) - 1
-    out = 0
-    for v in range(k):
-        allowed = full & ~(1 << v)
-        start = 1 if v == 0 else 0
-        if _reach(rows, start, allowed) == allowed:
-            out |= 1 << v
-    return out
-
-
 def _accepts(rows: list[int], connected: bool) -> bool:
-    """Canonical-deletion test for the newest vertex of a candidate child."""
+    """Canonical-deletion test for the newest vertex of a candidate child: it
+    must lie in the first refinement cell holding an eligible vertex and share
+    an orbit with that cell's eligible vertex of least canonical label."""
     k = len(rows)
-    if k == 1:
-        return True
     vn = k - 1
     full = (1 << k) - 1
+
+    def eligible(v: int) -> bool:
+        # deletable: the other vertices stay connected when connectivity matters
+        if not connected:
+            return True
+        rest = full & ~(1 << v)
+        return _reach(rows, 0 if v else 1, rest) == rest
+
+    # vn itself needs no test: removing it leaves the parent, which is connected.
+    # Refinement orders cells by degree first, so an eligible vertex of smaller
+    # degree rejects before any refinement.
     dnew = rows[vn].bit_count()
-
-    smaller = 0
-    for v in range(vn):
-        if rows[v].bit_count() < dnew:
-            smaller |= 1 << v
-    eligible = full if not connected else -1  # lazy when connectivity matters
-    if smaller:
-        if eligible < 0:
-            eligible = _non_cut_mask(rows, k)
-        if smaller & eligible:
-            return False
-
+    if any(rows[v].bit_count() < dnew and eligible(v) for v in range(vn)):
+        return False
     cells = refine_partition(k, rows, [full])
     ci = next(i for i, c in enumerate(cells) if c >> vn & 1)
-    before = 0
-    for c in cells[:ci]:
-        before |= c
-    before &= ~smaller
-    if before:
-        if eligible < 0:
-            eligible = _non_cut_mask(rows, k)
-        if before & eligible:
-            return False
-    if eligible < 0:
-        if cells[ci] == 1 << vn:
-            return True
-        eligible = _non_cut_mask(rows, k)
-    cstar = cells[ci] & eligible
-    if cstar == 1 << vn:
+    # earlier cells hold degrees <= dnew, and the smaller ones were tested above
+    if any(rows[v].bit_count() == dnew and eligible(v) for c in cells[:ci] for v in bits(c)):
+        return False
+    rivals = [v for v in bits(cells[ci]) if v != vn and eligible(v)]
+    if not rivals:
         return True
-
-    perm, gens, _ = canonical_search(k, rows)
+    perm, gens = canonical_search(k, rows)
     orb = orbit_partition(k, gens)
-    chosen = min(bits(cstar), key=lambda v: perm[v])
+    chosen = min(rivals + [vn], key=perm.__getitem__)
     return orb[chosen] == orb[vn]
 
 
 def _neighborhood_orbit_reps(k: int, rows: Sequence[int]) -> set[int] | None:
     """One representative neighbourhood per automorphism orbit, or None when
     the group is trivial and every subset is its own representative."""
-    _, gens, _ = canonical_search(k, rows)  # no generators when refinement is discrete
+    _, gens = canonical_search(k, rows)  # no generators when refinement is discrete
     if not gens:
         return None
     maps = [[1 << g[v] for v in range(k)] for g in gens]
@@ -271,8 +250,6 @@ def _grow(
             low = mm & -mm
             child[low.bit_length() - 1] |= 1 << k
             mm ^= low
-        if final and fmd and any(row.bit_count() < fmd for row in child):
-            continue
         if not _accepts(child, connected):
             continue
         if final:

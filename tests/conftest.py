@@ -9,7 +9,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from ecgraphs.graphs import Graph
+from ecgraphs.canon import canonical_search, orbit_partition, refine_partition
+from ecgraphs.graphs import Graph, is_connected
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -182,6 +183,23 @@ def brute_first_failure(adjacency, count: int, level: int):
             if not w:
                 return subset + (a,)
     return None
+
+
+def brute_accepts(g: Graph, connected: bool) -> bool:
+    """Canonical-deletion rule by definition, for the newest vertex n-1: a
+    vertex is eligible when the others induce a connected graph (any vertex
+    when connectivity does not matter); take the first refinement cell holding
+    an eligible vertex and its eligible vertex of least canonical label; accept
+    when that vertex and n-1 share an automorphism orbit."""
+    n = g.n
+    eligible = {v for v in range(n)
+                if not connected or is_connected(g.induced([u for u in range(n) if u != v]))}
+    cells = refine_partition(n, g.adj, [(1 << n) - 1])
+    cell = next(c for c in cells if any(c >> v & 1 for v in eligible))
+    perm, gens = canonical_search(n, g.adj)
+    chosen = min((v for v in eligible if cell >> v & 1), key=lambda v: perm[v])
+    orbits = orbit_partition(n, gens)
+    return orbits[chosen] == orbits[n - 1]
 
 
 @pytest.fixture

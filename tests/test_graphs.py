@@ -46,6 +46,16 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 3)])
 
 
+def test_induced_refuses_out_of_range_vertices():
+    p4 = path_graph(4)
+    assert p4.induced([3, 2]).adj == (2, 1)
+    for vertices in ([-1, 0], [7], [0, 4]):
+        with pytest.raises(GraphError, match="out of range"):
+            p4.induced(vertices)
+    with pytest.raises(GraphError, match="duplicate"):
+        p4.induced([1, 1])
+
+
 # -- families ------------------------------------------------------------------
 
 

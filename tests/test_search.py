@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ecgraphs import search
@@ -20,7 +22,7 @@ from ecgraphs.search import (
     run_named_search,
 )
 
-from conftest import all_labeled_graphs, random_permutation
+from conftest import all_labeled_graphs, brute_accepts, random_connected_graph, random_permutation
 
 # published census: connected graphs and all graphs up to isomorphism
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
@@ -36,6 +38,12 @@ def test_connected_counts():
 @pytest.mark.slow
 def test_connected_count_order_nine():
     assert sum(1 for _ in enumerate_connected(9)) == 261080  # OEIS A001349
+
+
+@pytest.mark.slow
+def test_connected_planar_count_order_nine():
+    cons = SearchConstraints(predicates=("planar",))
+    assert sum(1 for _ in enumerate_connected(9, cons)) == 71885  # OEIS A003094
 
 
 def test_all_graph_counts():
@@ -72,6 +80,44 @@ def test_order_four_one_ec_census():
         canonical_form(path_graph(4)),
     }
     assert survivors == expected
+
+
+def _deletion_cases(graphs, connected: bool):
+    """Every graph x newest vertex whose removal leaves the rest connected
+    (every vertex when connectivity does not matter), that vertex swapped
+    with n-1 so it is the newest."""
+    for g in graphs:
+        for v in range(g.n):
+            if connected and not is_connected(g.induced([u for u in range(g.n) if u != v])):
+                continue
+            perm = list(range(g.n))
+            perm[v], perm[-1] = perm[-1], perm[v]
+            yield g.permuted(perm)
+
+
+def test_accepts_matches_canonical_deletion_rule():
+    def check(graphs, connected):
+        cases = 0
+        for h in _deletion_cases(graphs, connected):
+            assert search._accepts(list(h.adj), connected) == brute_accepts(h, connected), write_graph6(h)
+            cases += 1
+        return cases
+
+    small = [g for n in range(2, 8) for g in enumerate_connected(n)]
+    assert check(small, True) == 6098
+    # two K4s joined through one path vertex of degree 2: the only vertex of
+    # smaller degree than the rest is a cut vertex, so it must not reject
+    k4s = [(a + s, b + s) for s in (0, 4) for a in range(4) for b in range(a + 1, 4)]
+    two_k4 = Graph.from_edges(9, k4s + [(0, 8), (4, 8)])
+    # two triangles joined by a path of three edges: the path's inner vertices
+    # are cut vertices in the equitable cell of the triangles' degree-2
+    # vertices, and one of them has the cell's least canonical label
+    two_triangles = Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)])
+    check([two_k4, two_triangles], True)
+    rng = random.Random(5)
+    check([random_connected_graph(rng, rng.randint(8, 10), rng.uniform(0.1, 0.6)) for _ in range(400)], True)
+    loose = SearchConstraints(require_connected=False)
+    assert check([g for n in range(2, 7) for g in enumerate_connected(n, loose)], False) == 1166
 
 
 def test_order_range_enforced():
