@@ -29,7 +29,7 @@ from .hypergraphs import (
     star_dual,
 )
 from .planarity import is_planar
-from .search import SearchConstraints, enumerate_connected, filter_stream, run_named_search
+from .search import NAMED_SEARCHES, SearchConstraints, enumerate_connected, filter_stream, run_named_search
 
 
 class CliError(Exception):
@@ -165,13 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_constraint_flags(p)
 
     p = sub.add_parser("search", help="named classification searches")
-    p.add_argument(
-        "--name",
-        required=True,
-        choices=("planar-2lec", "min-2ec", "nine-edge-2lec"),
-    )
+    p.add_argument("--name", required=True, choices=[n.replace("_", "-") for n in NAMED_SEARCHES])
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="does nothing; kept so old scripts run (every search runs in one process)",
+    )
     p.add_argument("--format", choices=("json", "lines"), default="json")
 
     p = sub.add_parser("filter", help="filter a graph6 stream through constraints")
@@ -268,7 +269,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             print(canonical_form(g))
         return 0
     if cmd == "search":
-        report = run_named_search(args.name, args.max_order, workers=args.workers)
+        report = run_named_search(args.name, args.max_order)
         _report_out(report, args.format)
         return 0
     if cmd == "filter":

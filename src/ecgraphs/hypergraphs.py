@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from .ec import EcVerdict, _ec_split_search, _verdict, line_adjacency, vertex_stars
 from .graphs import Graph, GraphError, MAX_VERTICES, bits
+
+# crossing_hypergraph walks every k-subset of its vertices, so it refuses more
+MAX_CROSSING_SUBSETS = 1 << 20
 
 
 class HypergraphError(ValueError):
@@ -51,6 +55,8 @@ class Hypergraph:
             for v in es:
                 if not 0 <= v < n:
                     raise HypergraphError(f"vertex {v} out of range for n={n}")
+                if mask >> v & 1:
+                    raise HypergraphError(f"vertex {v} repeated within an edge")
                 mask |= 1 << v
             masks.append(mask)
         masks.sort()
@@ -132,6 +138,9 @@ def crossing_hypergraph(x: int, y: int, k: int) -> Hypergraph:
         raise HypergraphError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex limit")
     if k > n:
         raise HypergraphError(f"edge size {k} exceeds the vertex count {n}")
+    subsets = comb(n, k)
+    if subsets > MAX_CROSSING_SUBSETS:
+        raise HypergraphError(f"C({n}, {k}) = {subsets} subsets exceeds the {MAX_CROSSING_SUBSETS} limit")
     xmask = (1 << x) - 1
     ymask = ((1 << y) - 1) << x
     masks = []

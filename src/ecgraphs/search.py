@@ -5,10 +5,9 @@ exactly when its newest vertex lies in the canonical-deletion orbit (the
 eligible vertices of the first equitable-refinement cell containing one,
 tie-broken by minimum canonical label), and neighbourhoods of a parent are
 taken one per automorphism orbit.  Every isomorphism class is therefore
-produced exactly once with no global seen-set, the tree splits into
-independent subtrees for parallel runs, and pruning hooks (edge budgets,
-final-min-degree lookahead, intermediate planarity) never lose survivors
-because ancestors inherit the pruned bounds.
+produced exactly once with no global seen-set, and pruning hooks (edge
+budgets, final-min-degree lookahead, intermediate planarity) never lose
+survivors because ancestors inherit the pruned bounds.
 
 Acceptance is one rule with one per-vertex eligibility predicate (removing
 the vertex keeps the rest connected, when connectivity is required), tested
@@ -20,9 +19,7 @@ canonical-labelling orbit test.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -203,13 +200,8 @@ def _grow(
     cons: SearchConstraints,
     preds: _Chain,
     counters: dict[str, int],
-    frontier_at: int | None = None,
-) -> Iterator[Graph | tuple[tuple[int, ...], int]]:
-    """Expand an accepted graph towards ``target`` vertices, yielding survivors.
-
-    With ``frontier_at`` set, accepted graphs of that order are yielded as raw
-    ``(rows, edge_count)`` work units instead of being expanded (parallel mode).
-    """
+) -> Iterator[Graph]:
+    """Expand an accepted graph towards ``target`` vertices, yielding survivors."""
     k = len(rows)
     child_order = k + 1
     r = target - child_order
@@ -262,18 +254,14 @@ def _grow(
             # so a nonplanar one has no planar descendant
             if cons.predicates[:1] == ("planar",) and not lr_planar_rows(child_order, child):
                 continue
-            if frontier_at is not None and child_order == frontier_at:
-                yield tuple(child), m_now + sz
-            else:
-                yield from _grow(child, m_now + sz, target, cons, preds, counters, frontier_at)
+            yield from _grow(child, m_now + sz, target, cons, preds, counters)
 
 
 def _enumerate_order(
     target: int,
     cons: SearchConstraints,
     counters: dict[str, int],
-    frontier_at: int | None = None,
-) -> Iterator[Graph | tuple[tuple[int, ...], int]]:
+) -> Iterator[Graph]:
     if not 1 <= target <= MAX_SEARCH_ORDER:
         raise ValueError(f"order must be 1..{MAX_SEARCH_ORDER}, got {target}")
     preds = predicate_functions(cons.predicates)
@@ -282,7 +270,7 @@ def _enumerate_order(
     if cons.max_edges is not None and target * fmd > 2 * cons.max_edges:
         return
     if target > 1:
-        yield from _grow([0], 0, target, cons, preds, counters, frontier_at)
+        yield from _grow([0], 0, target, cons, preds, counters)
     elif fmd <= 0:
         counters["generated"] += 1
         g = Graph(1, (0,))
@@ -301,76 +289,36 @@ def enumerate_connected(order: int, constraints: SearchConstraints | None = None
     """Exactly one representative per isomorphism class of (by default
     connected) graphs on ``order`` vertices satisfying the constraints."""
     cons = constraints or SearchConstraints()
-    yield from _enumerate_order(order, cons, new_counters(cons))  # type: ignore[misc]
+    yield from _enumerate_order(order, cons, new_counters(cons))
 
 
 # ---------------------------------------------------------------------------
 # named searches
 
 
-_NAMED = {"planar_2lec", "min_2ec", "nine_edge_2lec"}
+# the classification searches by name: each maps an order to its constraints
+NAMED_SEARCHES: dict[str, Callable[[int], SearchConstraints]] = {
+    "planar_2lec": lambda order: SearchConstraints(
+        max_edges=3 * order - 6 if order >= 3 else None,
+        final_min_degree=3,
+        predicates=("planar", "two_line_ec"),
+    ),
+    # a 2-e.c. graph has min degree >= 4: each open neighbourhood induces a
+    # graph with no isolated and no universal vertex, impossible on <= 3
+    # vertices, so every neighbourhood has at least 4 members
+    "min_2ec": lambda order: SearchConstraints(final_min_degree=4, predicates=("two_ec",)),
+    "nine_edge_2lec": lambda order: SearchConstraints(
+        max_edges=9,
+        final_min_degree=3,
+        predicates=("edge_count=9", "two_line_ec"),
+    ),
+}
 
 
-def _constraints_for(name: str, order: int) -> SearchConstraints:
-    if name == "planar_2lec":
-        max_edges = 3 * order - 6 if order >= 3 else None
-        return SearchConstraints(
-            max_edges=max_edges,
-            final_min_degree=3,
-            predicates=("planar", "two_line_ec"),
-        )
-    if name == "min_2ec":
-        # a 2-e.c. graph has min degree >= 4: each open neighbourhood induces a
-        # graph with no isolated and no universal vertex, impossible on <= 3
-        # vertices, so every neighbourhood has at least 4 members
-        return SearchConstraints(final_min_degree=4, predicates=("two_ec",))
-    if name == "nine_edge_2lec":
-        return SearchConstraints(
-            max_edges=9,
-            final_min_degree=3,
-            predicates=("edge_count=9", "two_line_ec"),
-        )
-    raise ValueError(f"unknown named search {name!r}")
-
-
-def _expand_unit(args: tuple) -> tuple[dict[str, int], list[str]]:
-    rows, m_now, target, cons = args
-    counters = new_counters(cons)
-    preds = predicate_functions(cons.predicates)
-    survivors = [canonical_form(g) for g in _grow(list(rows), m_now, target, cons, preds, counters)]
-    return counters, survivors
-
-
-def _search_one_order(target: int, cons: SearchConstraints, workers: int) -> tuple[dict[str, int], list[str]]:
-    """Counters and canonical survivors of one order.  With several workers
-    and a deep enough target, the tree is cut at a fixed frontier and the
-    subtrees below it become work units for a process pool."""
-    counters = new_counters(cons)
-    frontier_at = None
-    if workers > 1 and target > 6:
-        frontier_at = 6 if target <= 9 else 7
-    survivors: list[str] = []
-    jobs = []
-    for item in _enumerate_order(target, cons, counters, frontier_at):
-        if isinstance(item, Graph):
-            survivors.append(canonical_form(item))
-        else:
-            jobs.append((*item, target, cons))
-    if jobs:
-        # a fork pool starts every worker at once, so never ask for more
-        # workers than there are units or cores
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs), os.cpu_count() or 1)) as pool:
-            for unit_counters, unit_survivors in pool.map(_expand_unit, jobs):
-                for key, val in unit_counters.items():
-                    counters[key] += val
-                survivors.extend(unit_survivors)
-    return counters, survivors
-
-
-def run_named_search(name: str, max_order: int, workers: int = 1) -> SearchReport:
+def run_named_search(name: str, max_order: int) -> SearchReport:
     """Run one of the classification searches and return its report."""
     norm = name.replace("-", "_")
-    if norm not in _NAMED:
+    if norm not in NAMED_SEARCHES:
         raise ValueError(f"unknown named search {name!r}")
     if not 1 <= max_order <= MAX_SEARCH_ORDER:
         raise ValueError(f"max_order must be 1..{MAX_SEARCH_ORDER}, got {max_order}")
@@ -379,11 +327,12 @@ def run_named_search(name: str, max_order: int, workers: int = 1) -> SearchRepor
     rejected: dict[str, int] = {}
     survivors: list[str] = []
     for order in range(1, max_order + 1):
-        counters, found = _search_one_order(order, _constraints_for(norm, order), workers)
+        cons = NAMED_SEARCHES[norm](order)
+        counters = new_counters(cons)
+        survivors.extend(canonical_form(g) for g in _enumerate_order(order, cons, counters))
         generated += counters.pop("generated")
         for key, val in counters.items():
             rejected[key] = rejected.get(key, 0) + val
-        survivors.extend(found)
     survivors.sort()
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return SearchReport(norm, max_order, generated, rejected, survivors, wall_ms)

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from ecgraphs.canon import canonical_form
+from ecgraphs.catalog import planar_two_line_ec_graphs
 from ecgraphs.cli import main
 from ecgraphs.constructions import paley
 from ecgraphs.graph6 import parse_graph6, write_graph6
@@ -173,6 +174,22 @@ def test_search_lines_format(capsys):
     assert out.strip() == canonical_form(complete_bipartite(3, 3))
 
 
+def test_search_workers_is_a_no_op(capsys):
+    # old scripts that pass --workers get the same report; only wall_ms differs
+    payloads = []
+    for extra in ((), ("--workers", "8")):
+        code, out, _ = run_cli(capsys, "search", "--name", "planar-2lec", "--max-order", "7", *extra)
+        assert code == 0
+        payload = json.loads(out)
+        del payload["wall_ms"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["survivors"] == sorted(canonical_form(g) for g in planar_two_line_ec_graphs())
+    with pytest.raises(SystemExit):
+        main(["search", "--help"])
+    assert "does nothing" in capsys.readouterr().out
+
+
 def test_filter(capsys, tmp_path):
     stream = tmp_path / "in.g6"
     stream.write_text("\n".join([K33_LINE, write_graph6(complete_graph(5))]) + "\n")
@@ -239,6 +256,19 @@ def test_negative_bounds_exit_two(capsys, k33_file):
         assert captured.out == "" and "must be >= 0" in captured.err
     code, out, _ = run_cli(capsys, "enumerate", "--order", "1", "--max-edges", "0")
     assert code == 0 and out == "@\n"
+
+
+def test_hyper_bad_inputs_exit_two(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("enumerated subsets")
+
+    monkeypatch.setattr("ecgraphs.hypergraphs.combinations", refuse)
+    code, out, err = run_cli(capsys, "hyper", "crossing", "--x", "32", "--y", "32", "--k", "5")
+    assert code == 2 and out == "" and "7624512" in err  # C(64, 5)
+    path = tmp_path / "repeat.txt"
+    path.write_text("3 2\n0 0 1\n1 2\n")
+    code, out, err = run_cli(capsys, "hyper", "check", "--n", "1", str(path))
+    assert code == 2 and out == "" and "repeated" in err
 
 
 def test_missing_file_exits_two(capsys):

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from ecgraphs import hypergraphs
 from ecgraphs.canon import is_isomorphic
 from ecgraphs.constructions import paley
 from ecgraphs.ec import is_n_line_ec, line_adjacency, line_graph, xi
@@ -45,6 +46,8 @@ def test_hypergraph_validation():
         Hypergraph(2, (5,))  # out of range
     with pytest.raises(HypergraphError):
         Hypergraph.from_vertex_sets(3, [[0, 1], [1, 0]])  # duplicate after sorting
+    with pytest.raises(HypergraphError, match="vertex 0 repeated"):
+        Hypergraph.from_vertex_sets(3, [[0, 0, 1], [1, 2]])  # not the 2-edge {0, 1}
     h = Hypergraph.from_vertex_sets(4, [[2, 3], [0, 1]])
     assert h.edges == (0b0011, 0b1100)
     assert h.is_uniform(2)
@@ -146,6 +149,28 @@ def test_crossing_validation():
         crossing_hypergraph(2, 2, 5)  # k > x + y
     with pytest.raises(HypergraphError):
         crossing_hypergraph(3, 3, 1)
+
+
+def test_oversize_crossing_refused_before_enumerating(monkeypatch):
+    # enumeration walks all C(x + y, k) subsets, so the size cap must refuse first
+    def refuse(*args):
+        raise AssertionError("enumerated subsets")
+
+    monkeypatch.setattr(hypergraphs, "combinations", refuse)
+    for x, y, k in ((32, 32, 5), (32, 32, 32), (12, 12, 12)):
+        with pytest.raises(HypergraphError, match=f"= {comb(x + y, k)} subsets"):
+            crossing_hypergraph(x, y, k)
+    h = Hypergraph.from_vertex_sets(32, [range(5)])
+    with pytest.raises(HypergraphError, match=f"= {comb(64, 5)} subsets"):
+        cross_join_hypergraphs(h, h, 5)
+
+
+def test_crossing_size_cap_boundary(monkeypatch):
+    monkeypatch.setattr(hypergraphs, "MAX_CROSSING_SUBSETS", comb(6, 2))
+    assert len(crossing_hypergraph(3, 3, 2).edges) == 9
+    monkeypatch.setattr(hypergraphs, "MAX_CROSSING_SUBSETS", comb(6, 2) - 1)
+    with pytest.raises(HypergraphError):
+        crossing_hypergraph(3, 3, 2)
 
 
 def test_crossing_below_bound_fails():

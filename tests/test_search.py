@@ -204,46 +204,6 @@ def test_min_2ec_empty_below_nine():
     assert rep.survivors == []
 
 
-def test_worker_determinism():
-    reports = [run_named_search("planar_2lec", 7, workers=w) for w in (1, 2, 8)]
-    base = reports[0]
-    for rep in reports[1:]:
-        assert rep.survivors == base.survivors
-        assert rep.generated == base.generated
-        assert rep.per_filter_rejected == base.per_filter_rejected
-
-
-def test_pool_sized_by_units_and_cores(monkeypatch):
-    # an in-process stand-in records the pool size, so no process is started
-    calls = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            jobs = list(jobs)
-            calls.append((self.max_workers, len(jobs)))
-            return map(fn, jobs)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
-    base = run_named_search("planar_2lec", 7)
-    assert calls == []
-    for cores in (3, 10_000, None):
-        calls.clear()
-        monkeypatch.setattr(search.os, "cpu_count", lambda: cores)
-        rep = run_named_search("planar_2lec", 7, workers=10_000)
-        assert calls and all(size == min(units, cores or 1) for size, units in calls)
-        assert (rep.survivors, rep.generated, rep.per_filter_rejected) == (
-            base.survivors, base.generated, base.per_filter_rejected)
-
-
 def test_pruning_soundness_edge_bound():
     # the 3n-6 edge prune must not change survivors (orders <= 8)
     for n in range(4, 9):
