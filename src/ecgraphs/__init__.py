@@ -23,7 +23,6 @@ from .graphs import (
     diameter,
     empty_graph,
     is_connected,
-    max_matching_size,
     path_graph,
     standard_family,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "join_independent",
     "line_graph",
     "line_graph_of_hypergraph",
-    "max_matching_size",
     "parse_graph6",
     "parse_hypergraph",
     "paley",

@@ -5,8 +5,6 @@ from __future__ import annotations
 from .fields import FiniteField
 from .graphs import Graph, GraphError, MAX_VERTICES, empty_graph
 
-MAX_PALEY_ORDER = 64
-
 
 def cone(g: Graph) -> Graph:
     """Add one new vertex adjacent to every vertex of g."""
@@ -39,8 +37,8 @@ def paley(q: int) -> Graph:
     nonzero square.  The congruence makes -1 a square, so adjacency is
     symmetric and the graph is (q-1)/2-regular.
     """
-    if q > MAX_PALEY_ORDER:
-        raise GraphError(f"paley graph order {q} exceeds the {MAX_PALEY_ORDER}-vertex limit")
+    if q > MAX_VERTICES:
+        raise GraphError(f"paley graph order {q} exceeds the {MAX_VERTICES}-vertex limit")
     field = FiniteField(q)  # validates the prime-power requirement
     if q % 4 != 1:
         raise GraphError(f"paley graph needs q = 1 (mod 4), got {q}")

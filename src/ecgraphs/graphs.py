@@ -269,53 +269,6 @@ def diameter(g: Graph) -> int | float:
     return best
 
 
-def max_matching_size(g: Graph) -> int:
-    """Size of a maximum matching, by branch and bound over the lowest active vertex.
-
-    A greedy matching seeds the bound; branches are cut when the remaining
-    active vertices cannot beat it.  Exact at desk scale (n <= 64).
-    """
-    adj = g.adj
-    full = (1 << g.n) - 1
-
-    best = 0
-    avail = full
-    for v in range(g.n):  # greedy seed
-        if avail >> v & 1:
-            nb = adj[v] & avail
-            if nb:
-                u = (nb & -nb).bit_length() - 1
-                avail &= ~(1 << v) & ~(1 << u)
-                best += 1
-
-    def active_count(mask: int) -> int:
-        cnt = 0
-        for v in bits(mask):
-            if adj[v] & mask:
-                cnt += 1
-        return cnt
-
-    def walk(mask: int, size: int) -> None:
-        nonlocal best
-        pick = -1
-        for v in bits(mask):
-            if adj[v] & mask:
-                pick = v
-                break
-        if pick < 0:
-            if size > best:
-                best = size
-            return
-        if size + active_count(mask) // 2 <= best:
-            return
-        for u in bits(adj[pick] & mask):
-            walk(mask & ~(1 << pick) & ~(1 << u), size + 1)
-        walk(mask & ~(1 << pick), size)
-
-    walk(full, 0)
-    return best
-
-
 def contains_induced(g: Graph, h: Graph) -> bool:
     """True iff some vertex subset of g induces a graph isomorphic to h.
 

@@ -9,6 +9,12 @@ produced exactly once with no global seen-set, and pruning hooks (edge
 budgets, final-min-degree lookahead, intermediate planarity) never lose
 survivors because ancestors inherit the pruned bounds.
 
+One routine, ``_grow``, handles every node: a graph of the target order is
+counted and run through the final chain, and a smaller one is expanded.  Its
+children take only admissible neighbourhoods (those holding every vertex the
+min-degree lookahead forces, with a size inside the degree and edge bounds),
+listed directly rather than filtered out of all 2^k vertex subsets.
+
 Acceptance is one rule with one per-vertex eligibility predicate (removing
 the vertex keeps the rest connected, when connectivity is required), tested
 lazily with early exit: an eligible vertex of smaller degree rejects before
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .canon import canonical_form, canonical_search, orbit_partition, refine_partition
@@ -163,20 +170,30 @@ def _accepts(rows: list[int], connected: bool) -> bool:
     return orb[chosen] == orb[vn]
 
 
-def _neighborhood_orbit_reps(k: int, rows: Sequence[int]) -> set[int] | None:
-    """One representative neighbourhood per automorphism orbit, or None when
-    the group is trivial and every subset is its own representative."""
+def _neighborhoods(k: int, rows: Sequence[int], forced: int, lo: int, hi: int) -> list[int]:
+    """The neighbourhoods a new vertex may take: supersets of ``forced`` with
+    ``lo..hi`` members, ascending, keeping the least mask of each orbit of
+    the automorphism group of ``rows``.
+
+    Orbits are closed over these masks only, which relies on ``forced`` and
+    the size window being unions of orbits: ``forced`` is defined by degree,
+    and automorphisms keep degrees and sizes.
+    """
+    free = [1 << v for v in range(k) if not forced >> v & 1]
+    f = forced.bit_count()
+    sizes = range(max(lo - f, 0), min(hi - f, len(free)) + 1)
+    masks = sorted(forced | sum(c) for s in sizes for c in combinations(free, s))  # distinct bits: sum is union
     _, gens = canonical_search(k, rows)  # no generators when refinement is discrete
     if not gens:
-        return None
+        return masks
     maps = [[1 << g[v] for v in range(k)] for g in gens]
-    reps: set[int] = set()
-    seen = bytearray(1 << k)
-    for mask in range(1 << k):
-        if seen[mask]:
+    reps: list[int] = []
+    seen: set[int] = set()
+    for mask in masks:
+        if mask in seen:
             continue
-        reps.add(mask)
-        seen[mask] = 1
+        reps.append(mask)
+        seen.add(mask)
         stack = [mask]
         while stack:
             cur = stack.pop()
@@ -187,24 +204,25 @@ def _neighborhood_orbit_reps(k: int, rows: Sequence[int]) -> set[int] | None:
                     low = mm & -mm
                     img |= mp[low.bit_length() - 1]
                     mm ^= low
-                if not seen[img]:
-                    seen[img] = 1
+                if img not in seen:
+                    seen.add(img)
                     stack.append(img)
     return reps
 
 
 def _grow(
-    rows: list[int],
-    m_now: int,
-    target: int,
-    cons: SearchConstraints,
-    preds: _Chain,
-    counters: dict[str, int],
+    rows: list[int], m_now: int, target: int, cons: SearchConstraints, preds: _Chain, counters: dict[str, int]
 ) -> Iterator[Graph]:
-    """Expand an accepted graph towards ``target`` vertices, yielding survivors."""
+    """Count and filter an accepted graph of ``target`` vertices, or expand
+    one of fewer vertices towards ``target``, yielding survivors."""
     k = len(rows)
-    child_order = k + 1
-    r = target - child_order
+    if k == target:
+        counters["generated"] += 1
+        g = Graph(k, tuple(rows))
+        if _survives(g, preds, counters):
+            yield g
+        return
+    r = target - k - 1  # vertices still to add after the child
     connected = cons.require_connected
     fmd = cons.final_min_degree or 0
 
@@ -218,64 +236,32 @@ def _grow(
             if d < need:
                 forced |= 1 << v
     min_sz = max(need, 1 if connected else 0)
-    max_sz = k
-    if cons.max_edges is not None:
-        budget = cons.max_edges - m_now - (r if connected else 0)
-        if budget < min_sz:
-            return
-        max_sz = min(max_sz, budget)
+    max_sz = k if cons.max_edges is None else min(k, cons.max_edges - m_now - (r if connected else 0))
 
-    reps = _neighborhood_orbit_reps(k, rows)
-    final = child_order == target
-    for nb in range(1 << k):
-        if nb & forced != forced:
-            continue
-        sz = nb.bit_count()
-        if sz < min_sz or sz > max_sz:
-            continue
-        if reps is not None and nb not in reps:
-            continue
+    # a chain led by planar prunes intermediate graphs: ancestors are induced
+    # subgraphs, so a nonplanar one has no planar descendant
+    prune = r > 0 and cons.predicates[:1] == ("planar",)
+    for nb in _neighborhoods(k, rows, forced, min_sz, max_sz):
         child = list(rows)
+        for v in bits(nb):
+            child[v] |= 1 << k
         child.append(nb)
-        mm = nb
-        while mm:
-            low = mm & -mm
-            child[low.bit_length() - 1] |= 1 << k
-            mm ^= low
         if not _accepts(child, connected):
             continue
-        if final:
-            counters["generated"] += 1
-            g = Graph(child_order, tuple(child))
-            if _survives(g, preds, counters):
-                yield g
-        else:
-            # a chain led by planar prunes: ancestors are induced subgraphs,
-            # so a nonplanar one has no planar descendant
-            if cons.predicates[:1] == ("planar",) and not lr_planar_rows(child_order, child):
-                continue
-            yield from _grow(child, m_now + sz, target, cons, preds, counters)
+        if prune and not lr_planar_rows(k + 1, child):
+            continue
+        yield from _grow(child, m_now + nb.bit_count(), target, cons, preds, counters)
 
 
-def _enumerate_order(
-    target: int,
-    cons: SearchConstraints,
-    counters: dict[str, int],
-) -> Iterator[Graph]:
+def _enumerate_order(target: int, cons: SearchConstraints, counters: dict[str, int]) -> Iterator[Graph]:
     if not 1 <= target <= MAX_SEARCH_ORDER:
         raise ValueError(f"order must be 1..{MAX_SEARCH_ORDER}, got {target}")
     preds = predicate_functions(cons.predicates)
     fmd = cons.final_min_degree or 0
-    # min degree fmd forces target * fmd / 2 edges, so nothing fits a smaller budget
-    if cons.max_edges is not None and target * fmd > 2 * cons.max_edges:
+    # min degree fmd needs more than fmd vertices and target * fmd / 2 edges
+    if fmd >= target or cons.max_edges is not None and target * fmd > 2 * cons.max_edges:
         return
-    if target > 1:
-        yield from _grow([0], 0, target, cons, preds, counters)
-    elif fmd <= 0:
-        counters["generated"] += 1
-        g = Graph(1, (0,))
-        if _survives(g, preds, counters):
-            yield g
+    yield from _grow([0], 0, target, cons, preds, counters)
 
 
 def new_counters(cons: SearchConstraints) -> dict[str, int]:

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
 
 from ecgraphs.canon import canonical_search, orbit_partition, refine_partition
-from ecgraphs.graphs import Graph, is_connected
+from ecgraphs.graphs import Graph, bits, is_connected
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -200,6 +201,22 @@ def brute_accepts(g: Graph, connected: bool) -> bool:
     chosen = min((v for v in eligible if cell >> v & 1), key=lambda v: perm[v])
     orbits = orbit_partition(n, gens)
     return orbits[chosen] == orbits[n - 1]
+
+
+@lru_cache(maxsize=1)  # callers ask about one graph many times in a row
+def brute_least_images(g: Graph) -> tuple[int, ...]:
+    """For every vertex subset of g (as a mask), the least mask in its orbit
+    under the automorphisms, found among all n! permutations."""
+    autos = [p for p in permutations(range(g.n)) if g.permuted(list(p)).adj == g.adj]
+    return tuple(min(sum(1 << p[v] for v in bits(m)) for p in autos) for m in range(1 << g.n))
+
+
+def brute_neighborhoods(g: Graph, forced: int, lo: int, hi: int) -> list[int]:
+    """Orbit representatives of the admissible neighbourhoods by definition:
+    the least member of the orbit of every vertex subset that holds
+    ``forced`` and has lo..hi members, ascending."""
+    least = brute_least_images(g)
+    return sorted({least[m] for m in range(1 << g.n) if m & forced == forced and lo <= m.bit_count() <= hi})
 
 
 @pytest.fixture

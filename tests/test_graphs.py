@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 from ecgraphs.canon import is_isomorphic
-from ecgraphs.catalog import named_graph
 from ecgraphs.ec import line_graph
 from ecgraphs.graphs import (
     Graph,
@@ -19,7 +18,6 @@ from ecgraphs.graphs import (
     cycle_graph,
     diameter,
     empty_graph,
-    max_matching_size,
     path_graph,
     standard_family,
 )
@@ -203,43 +201,3 @@ def test_diameter_oracle(rng):
     for _ in range(100):
         g = random_graph(rng, rng.randrange(1, 10), rng.choice([0.2, 0.5, 0.8]))
         assert diameter(g) == _floyd_warshall_diameter(g)
-
-
-# -- matching -------------------------------------------------------------------
-
-
-def _brute_matching(g: Graph) -> int:
-    edges = g.edges()
-    best = 0
-    for size in range(len(edges), 0, -1):
-        for combo in combinations(edges, size):
-            used = 0
-            ok = True
-            for u, v in combo:
-                mask = 1 << u | 1 << v
-                if used & mask:
-                    ok = False
-                    break
-                used |= mask
-            if ok:
-                return size
-    return best
-
-
-def test_matching_examples():
-    assert max_matching_size(complete_bipartite(3, 3)) == 3
-    assert max_matching_size(cycle_graph(7)) == 3
-    tc20 = named_graph("Tc20")
-    assert _brute_matching(tc20) == 3
-    assert max_matching_size(tc20) == 3
-
-
-def test_matching_properties(rng):
-    for _ in range(60):
-        g = random_graph(rng, rng.randrange(1, 9), 0.5)
-        got = max_matching_size(g)
-        assert got == _brute_matching(g)
-        assert got <= g.n // 2
-    for n in range(2, 7):
-        assert max_matching_size(complete_bipartite(n, n)) == n
-

@@ -22,7 +22,13 @@ from ecgraphs.search import (
     run_named_search,
 )
 
-from conftest import all_labeled_graphs, brute_accepts, random_connected_graph, random_permutation
+from conftest import (
+    all_labeled_graphs,
+    brute_accepts,
+    brute_neighborhoods,
+    random_connected_graph,
+    random_permutation,
+)
 
 # published census: connected graphs and all graphs up to isomorphism
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
@@ -120,6 +126,23 @@ def test_accepts_matches_canonical_deletion_rule():
     assert check([g for n in range(2, 7) for g in enumerate_connected(n, loose)], False) == 1166
 
 
+def test_neighborhoods_match_brute_orbits():
+    # forced sets defined by degree and size windows are unions of orbits,
+    # the condition _neighborhoods relies on
+    cases = 0
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            degs = g.degrees()
+            for t in range(max(degs) + 2):
+                forced = sum(1 << v for v in range(n) if degs[v] < t)
+                for lo in range(n + 1):
+                    for hi in range(lo, n + 1):
+                        got = search._neighborhoods(n, list(g.adj), forced, lo, hi)
+                        assert got == brute_neighborhoods(g, forced, lo, hi), (write_graph6(g), forced, lo, hi)
+                        cases += 1
+    assert cases == 21818
+
+
 def test_order_range_enforced():
     with pytest.raises(ValueError):
         list(enumerate_connected(13))
@@ -156,6 +179,12 @@ def test_min_degree_constraint():
         if min(g.degrees()) >= 3 and is_connected(g)
     }
     assert got == sorted(brute)
+    # a graph needs more than fmd vertices to have minimum degree fmd
+    for order, fmd in ((1, 1), (4, 4)):
+        cons = SearchConstraints(final_min_degree=fmd)
+        counters = search.new_counters(cons)
+        assert list(search._enumerate_order(order, cons, counters)) == []
+        assert counters["generated"] == 0
 
 
 def test_predicate_chain_counts():
@@ -189,14 +218,21 @@ def test_planar_search_to_order_seven():
 
 def test_planar_search_survivor_posthoc_invariants():
     from ecgraphs.graph6 import parse_graph6
-    from ecgraphs.graphs import diameter, max_matching_size
+    from ecgraphs.graphs import diameter
 
     for s in run_named_search("planar-2lec", 7).survivors:
         g = parse_graph6(s)
         assert g.n <= 12
         assert min(g.degrees()) >= 3
         assert diameter(g) <= 3
-        assert max_matching_size(g) <= 4
+
+
+@pytest.mark.slow
+def test_planar_search_order_ten():
+    rep = run_named_search("planar_2lec", 10)
+    assert rep.generated == 156052
+    assert rep.per_filter_rejected == {"planar": 102957, "two_line_ec": 53090}
+    assert rep.survivors == sorted(canonical_form(g) for g in planar_two_line_ec_graphs())
 
 
 def test_min_2ec_empty_below_nine():
