@@ -9,18 +9,23 @@ produced exactly once with no global seen-set, and pruning hooks (edge
 budgets, final-min-degree lookahead, intermediate planarity) never lose
 survivors because ancestors inherit the pruned bounds.
 
-One routine, ``_grow``, handles every node: a graph of the target order is
-counted and run through the final chain, and a smaller one is expanded.  Its
-children take only admissible neighbourhoods (those holding every vertex the
+One tree serves every order: ``_walk`` grows it once from K1 up to the
+largest order asked for, counting and filtering each accepted graph of an
+order in range and expanding each smaller one, so a named search up to
+``max_order`` and a single-order enumeration are the same routine.  Children
+take only admissible neighbourhoods (those holding every vertex the
 min-degree lookahead forces, with a size inside the degree and edge bounds),
-listed directly rather than filtered out of all 2^k vertex subsets.
+listed directly rather than filtered out of all 2^k vertex subsets.  A chain
+led by ``planar`` prunes nonplanar nodes and derives the Euler window: a child
+on k >= 3 vertices has at most 3k - 6 edges.
 
 Acceptance is one rule with one per-vertex eligibility predicate (removing
 the vertex keeps the rest connected, when connectivity is required), tested
 lazily with early exit: an eligible vertex of smaller degree rejects before
 any refinement, an eligible vertex in an earlier cell rejects after it, and
 only an eligible rival in the newest vertex's own cell calls for the
-canonical-labelling orbit test.
+canonical-labelling orbit test, whose automorphism generators the child's
+expansion then reuses.
 """
 
 from __future__ import annotations
@@ -135,10 +140,11 @@ def _survives(g: Graph, chain: _Chain, rejected: dict[str, int]) -> bool:
 # canonical augmentation
 
 
-def _accepts(rows: list[int], connected: bool) -> bool:
+def _accepts(rows: list[int], connected: bool) -> tuple[bool, list[tuple[int, ...]] | None]:
     """Canonical-deletion test for the newest vertex of a candidate child: it
     must lie in the first refinement cell holding an eligible vertex and share
-    an orbit with that cell's eligible vertex of least canonical label."""
+    an orbit with that cell's eligible vertex of least canonical label.
+    Returns the verdict and the automorphism generators if it computed them."""
     k = len(rows)
     vn = k - 1
     full = (1 << k) - 1
@@ -155,25 +161,25 @@ def _accepts(rows: list[int], connected: bool) -> bool:
     # degree rejects before any refinement.
     dnew = rows[vn].bit_count()
     if any(rows[v].bit_count() < dnew and eligible(v) for v in range(vn)):
-        return False
+        return False, None
     cells = refine_partition(k, rows, [full])
     ci = next(i for i, c in enumerate(cells) if c >> vn & 1)
     # earlier cells hold degrees <= dnew, and the smaller ones were tested above
     if any(rows[v].bit_count() == dnew and eligible(v) for c in cells[:ci] for v in bits(c)):
-        return False
+        return False, None
     rivals = [v for v in bits(cells[ci]) if v != vn and eligible(v)]
     if not rivals:
-        return True
+        return True, None
     perm, gens = canonical_search(k, rows)
     orb = orbit_partition(k, gens)
     chosen = min(rivals + [vn], key=perm.__getitem__)
-    return orb[chosen] == orb[vn]
+    return orb[chosen] == orb[vn], gens
 
 
-def _neighborhoods(k: int, rows: Sequence[int], forced: int, lo: int, hi: int) -> list[int]:
+def _neighborhoods(k: int, rows: Sequence[int], forced: int, lo: int, hi: int, gens: list | None = None) -> list[int]:
     """The neighbourhoods a new vertex may take: supersets of ``forced`` with
     ``lo..hi`` members, ascending, keeping the least mask of each orbit of
-    the automorphism group of ``rows``.
+    the automorphism group of ``rows`` (generated by ``gens`` when given).
 
     Orbits are closed over these masks only, which relies on ``forced`` and
     the size window being unions of orbits: ``forced`` is defined by degree,
@@ -183,7 +189,8 @@ def _neighborhoods(k: int, rows: Sequence[int], forced: int, lo: int, hi: int) -
     f = forced.bit_count()
     sizes = range(max(lo - f, 0), min(hi - f, len(free)) + 1)
     masks = sorted(forced | sum(c) for s in sizes for c in combinations(free, s))  # distinct bits: sum is union
-    _, gens = canonical_search(k, rows)  # no generators when refinement is discrete
+    if gens is None:
+        _, gens = canonical_search(k, rows)  # no generators when refinement is discrete
     if not gens:
         return masks
     maps = [[1 << g[v] for v in range(k)] for g in gens]
@@ -210,58 +217,63 @@ def _neighborhoods(k: int, rows: Sequence[int], forced: int, lo: int, hi: int) -
     return reps
 
 
-def _grow(
-    rows: list[int], m_now: int, target: int, cons: SearchConstraints, preds: _Chain, counters: dict[str, int]
-) -> Iterator[Graph]:
-    """Count and filter an accepted graph of ``target`` vertices, or expand
-    one of fewer vertices towards ``target``, yielding survivors."""
-    k = len(rows)
-    if k == target:
-        counters["generated"] += 1
-        g = Graph(k, tuple(rows))
-        if _survives(g, preds, counters):
-            yield g
-        return
-    r = target - k - 1  # vertices still to add after the child
+def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -> Iterator[Graph]:
+    """Grow one canonical-augmentation tree from K1: every accepted graph on
+    ``lo..hi`` vertices with the final min degree is counted and filtered,
+    and every one on fewer than ``hi`` vertices is expanded.  Yields the
+    survivors depth first."""
+    if not 1 <= lo <= hi <= MAX_SEARCH_ORDER:
+        raise ValueError(f"order must be 1..{MAX_SEARCH_ORDER}, got {hi}")
+    # a chain led by planar prunes: ancestors are induced subgraphs, so a
+    # nonplanar graph has no planar descendant, and Euler's bound caps edges;
+    # each node's planarity test then stands in for the chain's first entry
+    prune = cons.predicates[:1] == ("planar",)
+    chain = predicate_functions(cons.predicates)[1 if prune else 0 :]
     connected = cons.require_connected
     fmd = cons.final_min_degree or 0
+    # min degree fmd needs more than fmd vertices (checked on counting) and
+    # order * fmd / 2 edges, so the largest feasible order bounds the walk
+    if cons.max_edges is not None and hi * fmd > 2 * cons.max_edges:
+        hi = 2 * cons.max_edges // fmd if fmd else 0
 
-    need = fmd - r  # child min-degree lookahead: degrees grow <= 1 per addition
-    forced = 0
-    if need > 0:
-        for v in range(k):
-            d = rows[v].bit_count()
-            if d + 1 < need:
-                return
-            if d < need:
-                forced |= 1 << v
-    min_sz = max(need, 1 if connected else 0)
-    max_sz = k if cons.max_edges is None else min(k, cons.max_edges - m_now - (r if connected else 0))
+    def grow(rows: list[int], m_now: int, gens: list[tuple[int, ...]] | None) -> Iterator[Graph]:
+        k = len(rows)
+        planar = not prune or lr_planar_rows(k, rows)
+        if k >= lo and min(row.bit_count() for row in rows) >= fmd:
+            counters["generated"] += 1
+            g = Graph(k, tuple(rows))
+            if not planar:
+                counters["planar"] += 1
+            elif _survives(g, chain, counters):
+                yield g
+        if k == hi or not planar:
+            return
+        need = fmd - (hi - k - 1)  # child min-degree lookahead: degrees grow <= 1 per addition
+        forced = 0
+        if need > 0:
+            for v in range(k):
+                d = rows[v].bit_count()
+                if d + 1 < need:
+                    return
+                if d < need:
+                    forced |= 1 << v
+        max_sz = k
+        if cons.max_edges is not None:
+            # each vertex still needed to reach lo brings at least one edge
+            max_sz = min(max_sz, cons.max_edges - m_now - (max(lo - k - 1, 0) if connected else 0))
+        if prune and k >= 2:
+            max_sz = min(max_sz, 3 * (k + 1) - 6 - m_now)
+        for nb in _neighborhoods(k, rows, forced, max(need, 1 if connected else 0), max_sz, gens):
+            child = list(rows)
+            for v in bits(nb):
+                child[v] |= 1 << k
+            child.append(nb)
+            accepted, child_gens = _accepts(child, connected)
+            if accepted:
+                yield from grow(child, m_now + nb.bit_count(), child_gens)
 
-    # a chain led by planar prunes intermediate graphs: ancestors are induced
-    # subgraphs, so a nonplanar one has no planar descendant
-    prune = r > 0 and cons.predicates[:1] == ("planar",)
-    for nb in _neighborhoods(k, rows, forced, min_sz, max_sz):
-        child = list(rows)
-        for v in bits(nb):
-            child[v] |= 1 << k
-        child.append(nb)
-        if not _accepts(child, connected):
-            continue
-        if prune and not lr_planar_rows(k + 1, child):
-            continue
-        yield from _grow(child, m_now + nb.bit_count(), target, cons, preds, counters)
-
-
-def _enumerate_order(target: int, cons: SearchConstraints, counters: dict[str, int]) -> Iterator[Graph]:
-    if not 1 <= target <= MAX_SEARCH_ORDER:
-        raise ValueError(f"order must be 1..{MAX_SEARCH_ORDER}, got {target}")
-    preds = predicate_functions(cons.predicates)
-    fmd = cons.final_min_degree or 0
-    # min degree fmd needs more than fmd vertices and target * fmd / 2 edges
-    if fmd >= target or cons.max_edges is not None and target * fmd > 2 * cons.max_edges:
-        return
-    yield from _grow([0], 0, target, cons, preds, counters)
+    if lo <= hi:
+        yield from grow([0], 0, None)
 
 
 def new_counters(cons: SearchConstraints) -> dict[str, int]:
@@ -275,29 +287,22 @@ def enumerate_connected(order: int, constraints: SearchConstraints | None = None
     """Exactly one representative per isomorphism class of (by default
     connected) graphs on ``order`` vertices satisfying the constraints."""
     cons = constraints or SearchConstraints()
-    yield from _enumerate_order(order, cons, new_counters(cons))
+    yield from _walk(order, order, cons, new_counters(cons))
 
 
 # ---------------------------------------------------------------------------
 # named searches
 
 
-# the classification searches by name: each maps an order to its constraints
-NAMED_SEARCHES: dict[str, Callable[[int], SearchConstraints]] = {
-    "planar_2lec": lambda order: SearchConstraints(
-        max_edges=3 * order - 6 if order >= 3 else None,
-        final_min_degree=3,
-        predicates=("planar", "two_line_ec"),
-    ),
+# the classification searches by name; each walk covers every order up to its max
+NAMED_SEARCHES: dict[str, SearchConstraints] = {
+    # planar-led, so the walk caps a graph on k >= 3 vertices at 3k - 6 edges
+    "planar_2lec": SearchConstraints(final_min_degree=3, predicates=("planar", "two_line_ec")),
     # a 2-e.c. graph has min degree >= 4: each open neighbourhood induces a
     # graph with no isolated and no universal vertex, impossible on <= 3
     # vertices, so every neighbourhood has at least 4 members
-    "min_2ec": lambda order: SearchConstraints(final_min_degree=4, predicates=("two_ec",)),
-    "nine_edge_2lec": lambda order: SearchConstraints(
-        max_edges=9,
-        final_min_degree=3,
-        predicates=("edge_count=9", "two_line_ec"),
-    ),
+    "min_2ec": SearchConstraints(final_min_degree=4, predicates=("two_ec",)),
+    "nine_edge_2lec": SearchConstraints(max_edges=9, final_min_degree=3, predicates=("edge_count=9", "two_line_ec")),
 }
 
 
@@ -309,19 +314,12 @@ def run_named_search(name: str, max_order: int) -> SearchReport:
     if not 1 <= max_order <= MAX_SEARCH_ORDER:
         raise ValueError(f"max_order must be 1..{MAX_SEARCH_ORDER}, got {max_order}")
     t0 = time.perf_counter()
-    generated = 0
-    rejected: dict[str, int] = {}
-    survivors: list[str] = []
-    for order in range(1, max_order + 1):
-        cons = NAMED_SEARCHES[norm](order)
-        counters = new_counters(cons)
-        survivors.extend(canonical_form(g) for g in _enumerate_order(order, cons, counters))
-        generated += counters.pop("generated")
-        for key, val in counters.items():
-            rejected[key] = rejected.get(key, 0) + val
-    survivors.sort()
+    cons = NAMED_SEARCHES[norm]
+    counters = new_counters(cons)
+    survivors = sorted(canonical_form(g) for g in _walk(1, max_order, cons, counters))
+    generated = counters.pop("generated")
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    return SearchReport(norm, max_order, generated, rejected, survivors, wall_ms)
+    return SearchReport(norm, max_order, generated, counters, survivors, wall_ms)
 
 
 # ---------------------------------------------------------------------------

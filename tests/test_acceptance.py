@@ -190,6 +190,8 @@ def test_criterion_01_planar_classification():
     assert orders == [7] * 5
     edge_counts = sorted(parse_graph6(s).edge_count() for s in rep.survivors)
     assert edge_counts == [12, 13, 14, 15, 15]
+    assert rep.generated == 10660
+    assert rep.per_filter_rejected == {"planar": 6319, "two_line_ec": 4336}
     assert rep.wall_ms < 60_000  # single-threaded budget
     print(f"\nACCEPTANCE 1 PASS: planar 2-line e.c. classification = 5 graphs of order 7 "
           f"(12,13,14,15,15 edges), canonical match with the figure edge lists "
@@ -201,6 +203,8 @@ def test_criterion_02_minimum_two_ec_graph():
     assert rep8.survivors == []
     assert rep9.survivors == [ROOK_FORM]
     assert parse_graph6(rep9.survivors[0]).n == 9
+    assert rep9.generated == 15929
+    assert rep9.per_filter_rejected == {"two_ec": 15928}
     assert rep8.wall_ms + rep9.wall_ms < 300_000
     print(f"\nACCEPTANCE 2 PASS: no 2-e.c. graph of order <= 8; unique at order 9 = K3[]K3 "
           f"({(rep8.wall_ms + rep9.wall_ms) / 1000:.1f}s)")
@@ -210,6 +214,8 @@ def test_criterion_03_nine_edge_uniqueness():
     t0 = time.perf_counter()
     rep = nine_edge_report()
     assert rep.survivors == [canonical_form(K33)]
+    assert rep.generated == 5
+    assert rep.per_filter_rejected == {"edge_count=9": 2, "two_line_ec": 2}
     # no 2-line e.c. graph with <= 8 edges among all connected graphs, n <= 6
     low = []
     cons = SearchConstraints(max_edges=8, predicates=("two_line_ec",))

@@ -105,7 +105,7 @@ def test_accepts_matches_canonical_deletion_rule():
     def check(graphs, connected):
         cases = 0
         for h in _deletion_cases(graphs, connected):
-            assert search._accepts(list(h.adj), connected) == brute_accepts(h, connected), write_graph6(h)
+            assert search._accepts(list(h.adj), connected)[0] == brute_accepts(h, connected), write_graph6(h)
             cases += 1
         return cases
 
@@ -183,7 +183,7 @@ def test_min_degree_constraint():
     for order, fmd in ((1, 1), (4, 4)):
         cons = SearchConstraints(final_min_degree=fmd)
         counters = search.new_counters(cons)
-        assert list(search._enumerate_order(order, cons, counters)) == []
+        assert list(search._walk(order, order, cons, counters)) == []
         assert counters["generated"] == 0
 
 
@@ -235,6 +235,40 @@ def test_planar_search_order_ten():
     assert rep.survivors == sorted(canonical_form(g) for g in planar_two_line_ec_graphs())
 
 
+# the per-order constraints the named searches ran with when each order grew
+# its own tree: planar_2lec then carried Euler's bound as an explicit edge cap
+PER_ORDER_CONSTRAINTS = {
+    "planar_2lec": lambda k: SearchConstraints(
+        max_edges=3 * k - 6 if k >= 3 else None, final_min_degree=3, predicates=("planar", "two_line_ec")
+    ),
+    "min_2ec": lambda k: SearchConstraints(final_min_degree=4, predicates=("two_ec",)),
+    "nine_edge_2lec": lambda k: SearchConstraints(
+        max_edges=9, final_min_degree=3, predicates=("edge_count=9", "two_line_ec")
+    ),
+}
+
+
+def test_named_search_walk_matches_single_order_runs():
+    # one tree up to max_order reports the sum of one single-order tree per order
+    for name, per_order in PER_ORDER_CONSTRAINTS.items():
+        generated, rejected, survivors = 0, {}, []
+        for max_order in range(1, 9):
+            cons = per_order(max_order)
+            counters = search.new_counters(cons)
+            survivors += [canonical_form(g) for g in search._walk(max_order, max_order, cons, counters)]
+            generated += counters.pop("generated")
+            for key, val in counters.items():
+                rejected[key] = rejected.get(key, 0) + val
+            got = run_named_search(name, max_order).to_json()
+            del got["wall_ms"]
+            assert got == {
+                "name": name,
+                "max_order": max_order,
+                "counts": {"generated": generated, "per_filter_rejected": rejected},
+                "survivors": sorted(survivors),
+            }, (name, max_order)
+
+
 def test_min_2ec_empty_below_nine():
     rep = run_named_search("min_2ec", 6)
     assert rep.survivors == []
@@ -260,10 +294,11 @@ def test_planar_first_chain_prunes_without_losing_survivors():
         for preds in (("planar",), ("connected", "planar")):
             cons = SearchConstraints(predicates=preds)
             counters = search.new_counters(cons)
-            runs.append(([canonical_form(g) for g in search._enumerate_order(n, cons, counters)], counters))
+            runs.append(([canonical_form(g) for g in search._walk(n, n, cons, counters)], counters))
         (pruned, pc), (full, fc) = runs
         assert pruned == full and len(pruned) == PLANAR_CONNECTED_COUNTS[n - 1]
-        assert (pc["generated"] < fc["generated"]) == (n >= 6)  # K5 is the first nonplanar graph
+        # K5 is the first nonplanar graph, and Euler's bound keeps it from being generated
+        assert (pc["generated"] < fc["generated"]) == (n >= 5)
 
 
 # -- filter_stream ------------------------------------------------------------------
