@@ -9,13 +9,34 @@ vertex, and ``line_adjacency`` builds the bitsets for both.  The bitsets are
 arbitrary-width ints, so line mode never materializes a line graph and is not
 bound by the 64-vertex cap.  One split search, ``_ec_split_search``, decides
 every level in every mode, and ``xi``/``xi_line`` ascend through it.
+
+Symmetric inputs are checked on fewer subsets.  Two vertices are *twins* when
+swapping them maps the edge set to itself.  Being twins is an equivalence,
+because (u w) = (u v)(v w)(u v), and the twin classes generate a group of
+automorphisms, all permutations within each class; two items lie in one of
+its orbits exactly when their vertices carry the same multiset of class
+labels.  An automorphism maps failing subsets to failing subsets.  In each
+orbit of level-subsets take a member S whose least item is as small as
+possible: that item is the least of its own item orbit, or an automorphism
+would map S to a member with a smaller least item.  So the property holds
+when every subset whose least item is an orbit representative passes, that
+is when every prefix of the ordered search led by a representative passes.
+The same argument shows that the first failing subset is led by a
+representative (an image with a smaller least item would fail earlier), so
+searching the led prefixes in order finds the same certificate.  For
+crossing hypergraphs, whose group S_x x S_y leaves k - 1 edge orbits, that is
+k - 1 of the m prefixes at level 2.
+
+The deciders find twins themselves, and only when the first prefix has
+passed: most small graphs fail at the first prefix, for less than finding
+their twins would cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Any, Sequence
+from itertools import combinations, islice
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .graphs import Graph, GraphError, MAX_VERTICES
 
@@ -45,22 +66,57 @@ class EcVerdict:
         return {"level": self.level, "holds": self.holds, "certificate": cert}
 
 
-def _ec_split_search(adjacency: Sequence[int], count: int, level: int) -> tuple[int, ...] | None:
+def _ec_split_search(
+    adjacency: Sequence[int], count: int, level: int, orbit_reps: Callable[[], Sequence[int]] | None = None
+) -> tuple[int, ...] | None:
     """First failing split packed as ``(*subset, a)`` in the certificate
     order, or None if the property holds.
 
-    One loop serves every level.  Each (level-1)-prefix, in lexicographic
-    order, splits the other items into cells by adjacency to the prefix (bit
-    t of a cell's index set: the cell lies in the neighbourhood of prefix
-    item t).  A later item j completes a failing subset exactly when some
-    cell holds no neighbour of j or no non-neighbour other than j, so OR-ing
-    each cell's rows into ``meet`` and AND-ing ``row | bit(v)`` into
-    ``common`` marks every such j at once.  That reads j's neighbours off the
-    rows of the cell members, so the adjacency must be symmetric and
-    loop-free, as ``Graph`` rows and ``line_adjacency`` output are.
+    The (level-1)-prefixes are checked in lexicographic order.
+    ``orbit_reps``, when given, is asked only once the first prefix has
+    passed, and returns the least item of each orbit of a group of item
+    permutations that preserve the adjacency.  When some item is not a
+    representative, only the prefixes led by a representative are checked
+    from then on, which keeps the first failing split (see the module
+    docstring).
+    """
+    prefixes: Iterable[tuple[int, ...]] = combinations(range(count - 1), level - 1)
+    failure = _first_failure(adjacency, count, islice(prefixes, 1))
+    if failure is not None:
+        return failure
+    if orbit_reps is not None and 2 <= level < count and len(leaders := orbit_reps()) < count:
+        prefixes = _led_prefixes(leaders, count, level)
+    return _first_failure(adjacency, count, prefixes)
+
+
+def _led_prefixes(leaders: Sequence[int], count: int, level: int) -> Iterator[tuple[int, ...]]:
+    """The (level-1)-prefixes after the first whose first item is one of
+    ``leaders`` (ascending), in lexicographic order."""
+    for r in leaders:
+        if r > count - level:  # no level-subset has a larger least item
+            return
+        for rest in combinations(range(r + 1, count - 1), level - 2):
+            if r or rest != tuple(range(1, level - 1)):
+                yield (r, *rest)
+
+
+def _first_failure(
+    adjacency: Sequence[int], count: int, prefixes: Iterable[tuple[int, ...]]
+) -> tuple[int, ...] | None:
+    """First failing split ``(*prefix, j, a)`` over the given prefixes, in
+    their order, and the items j above each prefix; or None.
+
+    Each prefix splits the other items into cells by adjacency to it (bit t
+    of a cell's index set: the cell lies in the neighbourhood of prefix item
+    t).  A later item j completes a failing subset exactly when some cell
+    holds no neighbour of j or no non-neighbour other than j, so OR-ing each
+    cell's rows into ``meet`` and AND-ing ``row | bit(v)`` into ``common``
+    marks every such j at once.  That reads j's neighbours off the rows of
+    the cell members, so the adjacency must be symmetric and loop-free, as
+    ``Graph`` rows and ``line_adjacency`` output are.
     """
     full = (1 << count) - 1
-    for prefix in combinations(range(count - 1), level - 1):
+    for prefix in prefixes:
         cells = [full]
         for s in prefix:
             row = adjacency[s]
@@ -87,6 +143,42 @@ def _ec_split_search(adjacency: Sequence[int], count: int, level: int) -> tuple[
     return None
 
 
+# ---------------------------------------------------------------------------
+# twin symmetry
+
+
+def graph_twin_classes(adj: Sequence[int]) -> list[int]:
+    """Twin class label of each vertex of a graph, labels in order of first
+    vertex.
+
+    u and v are twins when ``(adj[u] ^ adj[v]) & ~(bit u | bit v) == 0``:
+    equal open neighbourhoods if they are not adjacent, equal closed ones if
+    they are.  The first vertex of each class files both of its
+    neighbourhoods, and a later vertex joins the class whose first vertex it
+    matches.  N(x) = N[y] would put x in its own neighbourhood, so one dict
+    serves both kinds."""
+    first: dict[int, int] = {}
+    labels = []
+    for v, row in enumerate(adj):
+        label = first.get(row, first.get(row | 1 << v))
+        if label is None:
+            label = first[row] = first[row | 1 << v] = len(first) // 2
+        labels.append(label)
+    return labels
+
+
+def twin_orbit_reps(labels: Sequence[int], items: Sequence[Sequence[int]]) -> list[int]:
+    """The least item of every orbit of the group the twin classes generate,
+    ascending; ``labels`` gives each vertex its class and items are vertex
+    tuples."""
+    if len(set(labels)) == len(labels):  # no twins: every item is its own orbit
+        return list(range(len(items)))
+    firsts: dict[tuple[int, ...], int] = {}
+    for i, item in enumerate(items):
+        firsts.setdefault(tuple(sorted(map(labels.__getitem__, item))), i)
+    return list(firsts.values())
+
+
 def _verdict(level: int, failure: tuple[int, ...] | None, items: Sequence[Any]) -> EcVerdict:
     if failure is None:
         return EcVerdict(level, True)
@@ -96,25 +188,30 @@ def _verdict(level: int, failure: tuple[int, ...] | None, items: Sequence[Any]) 
     return EcVerdict(level, False, cert_a, cert_b)
 
 
+def _graph_reps(g: Graph, items: Sequence[Sequence[int]]) -> list[int]:
+    return twin_orbit_reps(graph_twin_classes(g.adj), items)
+
+
 def is_n_ec(g: Graph, n: int) -> EcVerdict:
     """Decide whether g is n-existentially closed over vertices."""
     if not 1 <= n <= g.n:
         raise GraphError(f"level must be 1..{g.n} for this graph, got {n}")
-    return _verdict(n, _ec_split_search(g.adj, g.n, n), range(g.n))
+    failure = _ec_split_search(g.adj, g.n, n, lambda: _graph_reps(g, [(v,) for v in range(g.n)]))
+    return _verdict(n, failure, range(g.n))
 
 
-def _closure_number(adjacency: Sequence[int], count: int) -> int:
+def _closure_number(adjacency: Sequence[int], count: int, orbit_reps: Callable[[], Sequence[int]]) -> int:
     """Largest level the split search passes; ascending stops at the first
     failure, which is valid because the property is monotone."""
     level = 0
-    while level < count and _ec_split_search(adjacency, count, level + 1) is None:
+    while level < count and _ec_split_search(adjacency, count, level + 1, orbit_reps) is None:
         level += 1
     return level
 
 
 def xi(g: Graph) -> int:
     """Largest n for which g is n-e.c.; 0 when not even 1-e.c."""
-    return _closure_number(g.adj, g.n)
+    return _closure_number(g.adj, g.n, lambda: _graph_reps(g, [(v,) for v in range(g.n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +260,7 @@ def is_n_line_ec(g: Graph, n: int) -> EcVerdict:
     m = len(edges)
     if not 1 <= n <= m:
         raise GraphError(f"level must be 1..{m} for this graph, got {n}")
-    return _verdict(n, _ec_split_search(line_adjacency(edges, g.n), m, n), edges)
+    return _verdict(n, _ec_split_search(line_adjacency(edges, g.n), m, n, lambda: _graph_reps(g, edges)), edges)
 
 
 def xi_line(g: Graph) -> int:
@@ -173,7 +270,7 @@ def xi_line(g: Graph) -> int:
     one adjacency list; the theorem that the value never exceeds 2 is asserted.
     """
     edges = g.edges()
-    level = _closure_number(line_adjacency(edges, g.n), len(edges))
+    level = _closure_number(line_adjacency(edges, g.n), len(edges), lambda: _graph_reps(g, edges))
     if level > 2:
         raise AssertionError(f"graph found {level}-line e.c.; levels beyond 2 are impossible")
     return level

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .ec import EcVerdict, _ec_split_search, _verdict, line_adjacency, vertex_stars
+from .ec import EcVerdict, _ec_split_search, _verdict, line_adjacency, twin_orbit_reps, vertex_stars
 from .graphs import Graph, GraphError, MAX_VERTICES, bits
 
 # crossing_hypergraph walks every k-subset of its vertices, so it refuses more
@@ -124,7 +124,31 @@ def is_n_line_ec_hyper(h: Hypergraph, n: int) -> EcVerdict:
     if not 1 <= n <= m:
         raise HypergraphError(f"level must be 1..{m} for this hypergraph, got {n}")
     items = [tuple(bits(e)) for e in h.edges]
-    return _verdict(n, _ec_split_search(line_adjacency(items, h.n), m, n), items)
+    failure = _ec_split_search(
+        line_adjacency(items, h.n), m, n, lambda: twin_orbit_reps(_hypergraph_twin_classes(h), items)
+    )
+    return _verdict(n, failure, items)
+
+
+def _hypergraph_twin_classes(h: Hypergraph) -> list[int]:
+    """Twin class label of each vertex, labels in order of first vertex.
+
+    u and v are twins when swapping them maps every edge that holds just one
+    of them to an edge.  Being twins is an equivalence, so each vertex is
+    tested only against the first vertex of every class found so far."""
+    edge_set = set(h.edges)
+    firsts: list[int] = []
+    labels = []
+    for v in range(h.n):
+        for label, u in enumerate(firsts):
+            pair = 1 << u | 1 << v
+            if all(e ^ pair in edge_set for e in h.edges if (e & pair).bit_count() == 1):
+                labels.append(label)
+                break
+        else:
+            labels.append(len(firsts))
+            firsts.append(v)
+    return labels
 
 
 def crossing_hypergraph(x: int, y: int, k: int) -> Hypergraph:

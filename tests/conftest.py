@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
+from types import GeneratorType
 
 import pytest
 
+from ecgraphs import ec
 from ecgraphs.canon import canonical_search, orbit_partition, refine_partition
 from ecgraphs.graphs import Graph, bits, is_connected
 
@@ -186,6 +189,37 @@ def brute_first_failure(adjacency, count: int, level: int):
     return None
 
 
+def unreduced_verdict(adjacency, items, level: int) -> ec.EcVerdict:
+    """The split search's verdict with no symmetry supplied: the reference
+    every twin-reduced decider must match, certificate included."""
+    return ec._verdict(level, ec._ec_split_search(adjacency, len(items), level), items)
+
+
+def unreduced_closure_number(adjacency) -> int:
+    """Largest level the split search passes with no symmetry supplied."""
+    level = 0
+    while level < len(adjacency) and ec._ec_split_search(adjacency, len(adjacency), level + 1) is None:
+        level += 1
+    return level
+
+
+def brute_twin_classes(n: int, automorphic) -> list[int]:
+    """Twin classes by definition: u and v share a class when the
+    transposition (u v) passes ``automorphic``; labels in order of first
+    appearance."""
+    labels: list[int] = []
+    for v in range(n):
+        for u in range(v):
+            swap = list(range(n))
+            swap[u], swap[v] = v, u
+            if automorphic(swap):
+                labels.append(labels[u])
+                break
+        else:
+            labels.append(max(labels, default=-1) + 1)
+    return labels
+
+
 def brute_accepts(g: Graph, connected: bool) -> bool:
     """Canonical-deletion rule by definition, for the newest vertex n-1: a
     vertex is eligible when the others induce a connected graph (any vertex
@@ -217,6 +251,25 @@ def brute_neighborhoods(g: Graph, forced: int, lo: int, hi: int) -> list[int]:
     ``forced`` and has lo..hi members, ascending."""
     least = brute_least_images(g)
     return sorted({least[m] for m in range(1 << g.n) if m & forced == forced and lo <= m.bit_count() <= hi})
+
+
+@pytest.fixture
+def reduced_outcomes(monkeypatch) -> Counter:
+    """Counts by outcome (True: no failing split) of the split searches that
+    switched to the prefixes led by orbit representatives (a generator; the
+    ordered prefixes come from itertools), so a test can show that its
+    inputs drive the reduced search both ways."""
+    seen: Counter = Counter()
+    real = ec._first_failure
+
+    def counted(adjacency, count, prefixes):
+        out = real(adjacency, count, prefixes)
+        if isinstance(prefixes, GeneratorType):
+            seen[out is None] += 1
+        return out
+
+    monkeypatch.setattr(ec, "_first_failure", counted)
+    return seen
 
 
 @pytest.fixture

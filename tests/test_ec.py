@@ -1,6 +1,10 @@
+from itertools import combinations
+
 import pytest
 
+from ecgraphs import ec
 from ecgraphs.canon import is_isomorphic
+from ecgraphs.constructions import paley
 from ecgraphs.ec import (
     EcVerdict,
     _ec_split_search,
@@ -9,6 +13,7 @@ from ecgraphs.ec import (
     is_n_line_ec,
     line_adjacency,
     line_graph,
+    graph_twin_classes,
     xi,
     xi_line,
 )
@@ -28,7 +33,13 @@ from ecgraphs.graphs import (
 )
 from ecgraphs.search import SearchConstraints, enumerate_connected
 
-from conftest import brute_first_failure, random_graph
+from conftest import (
+    brute_first_failure,
+    brute_twin_classes,
+    random_graph,
+    unreduced_closure_number,
+    unreduced_verdict,
+)
 
 ROOK = cartesian_product(complete_graph(3), complete_graph(3))
 TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -316,3 +327,95 @@ def test_line_graph_of_k33_contains_induced_2k2():
 
 def test_verdict_json_shape():
     assert is_n_ec(ROOK, 2).to_json() == {"level": 2, "holds": True, "certificate": None}
+
+
+# -- twin-symmetry reduction ---------------------------------------------------------
+
+
+def planted_twin_graph(rng, n: int) -> Graph:
+    """A blow-up of a random graph: the vertices of one class are twins (a
+    clique or an independent set, joined alike to each other class); in about
+    a third of the draws one vertex pair is flipped afterwards."""
+    classes = [rng.randrange(rng.randrange(1, n + 1)) for _ in range(n)]
+    clique = [rng.random() < 0.5 for _ in range(n)]
+    flip = tuple(sorted(rng.sample(range(n), 2))) if n >= 2 and rng.random() < 1 / 3 else None
+    between = {}
+    rows = [0] * n
+    for u, v in combinations(range(n), 2):
+        cu, cv = sorted((classes[u], classes[v]))
+        joined = clique[cu] if cu == cv else between.setdefault((cu, cv), rng.random() < 0.5)
+        if joined != ((u, v) == flip):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+def test_twin_classes_match_definition(rng):
+    for _ in range(300):
+        g = planted_twin_graph(rng, rng.randrange(1, 10))
+        expected = brute_twin_classes(g.n, lambda p: g.permuted(p).adj == g.adj)
+        assert graph_twin_classes(g.adj) == expected, g.adj
+    assert graph_twin_classes(complete_graph(5).adj) == [0] * 5  # adjacent twins
+    assert graph_twin_classes(cycle_graph(4).adj) == [0, 1, 0, 1]  # non-adjacent twins
+
+
+def test_twin_reduction_matches_unreduced_search(rng, reduced_outcomes):
+    # vertex and line mode, levels 1-4, and both closure numbers: the
+    # reduced deciders give the unreduced verdict and certificate
+    for _ in range(1000):
+        g = planted_twin_graph(rng, rng.randrange(1, 10))
+        edges = g.edges()
+        line = line_adjacency(edges, g.n)
+        for level in range(1, 5):
+            if level <= g.n:
+                assert is_n_ec(g, level) == unreduced_verdict(g.adj, range(g.n), level), (g.adj, level)
+            if level <= len(edges):
+                assert is_n_line_ec(g, level) == unreduced_verdict(line, edges, level), (g.adj, level)
+        assert xi(g) == unreduced_closure_number(g.adj)
+        assert xi_line(g) == unreduced_closure_number(line)
+    assert reduced_outcomes[True] >= 50 and reduced_outcomes[False] >= 50, reduced_outcomes
+
+
+def test_twin_pair_at_the_end_is_the_first_failure():
+    # paley(13) is 2-e.c.; a copy of its last vertex, adjacent to it or not,
+    # leaves the new last pair as the only failing one, and that pair is led
+    # by the last representative there is
+    g = paley(13)
+    for joined in (False, True):
+        rows = [row | (row >> 12 & 1) << 13 for row in g.adj] + [g.adj[12] | joined << 12]
+        rows[12] |= joined << 13
+        h = Graph(14, tuple(rows))
+        v = is_n_ec(h, 2)
+        assert v == unreduced_verdict(h.adj, range(14), 2)
+        assert (v.certificate_a, v.certificate_b) == ((12,), (13,))
+
+
+def test_twins_are_not_sought_when_the_first_prefix_fails(monkeypatch, rng):
+    # most small graphs fail at the first prefix, and finding twins would
+    # cost them more than the whole check
+    found = []
+    real = ec.graph_twin_classes
+
+    def spy(*args):
+        found.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ec, "graph_twin_classes", spy)
+    first_fails = asked = 0
+    for _ in range(300):
+        g = planted_twin_graph(rng, rng.randrange(2, 10))
+        edges = g.edges()
+        for level in (2, 3):
+            for decide, adjacency, count in ((is_n_ec, g.adj, g.n),
+                                             (is_n_line_ec, line_adjacency(edges, g.n), len(edges))):
+                if level > count:
+                    continue
+                failure = _ec_split_search(adjacency, count, level)
+                found.clear()
+                decide(g, level)
+                if failure is not None and failure[:level - 1] == tuple(range(level - 1)):
+                    assert not found, (g.adj, level)
+                    first_fails += 1
+                else:
+                    asked += bool(found)
+    assert first_fails >= 500 and asked >= 30, (first_fails, asked)

@@ -1,3 +1,5 @@
+import time
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from ecgraphs import hypergraphs
 from ecgraphs.canon import is_isomorphic
 from ecgraphs.constructions import paley
-from ecgraphs.ec import is_n_line_ec, line_adjacency, line_graph, xi
+from ecgraphs.ec import is_n_ec, is_n_line_ec, line_adjacency, line_graph, xi, xi_line
 from ecgraphs.graphs import (
     Graph,
     GraphError,
@@ -29,7 +31,8 @@ from ecgraphs.hypergraphs import (
 
 from ecgraphs.search import enumerate_connected
 
-from conftest import random_connected_graph
+from conftest import brute_twin_classes, random_connected_graph, unreduced_closure_number, unreduced_verdict
+from test_acceptance import construction_outputs
 
 ROOK = cartesian_product(complete_graph(3), complete_graph(3))
 
@@ -286,3 +289,98 @@ def test_graph_and_hypergraph_line_modes_agree():
             assert is_isomorphic(line_graph(g)[0], line_graph_of_hypergraph(h))
             checked += 1
     assert checked == 1 + 2 + 6 + 21 + 112
+
+
+# -- twin-symmetry reduction -----------------------------------------------------------
+
+CRITERION_9_SWEEP = [
+    (x, y, k) for k in (2, 3, 4) for y in range(2 * k - 1, 2 * k + 2) for x in range(y, 2 * k + 2)
+]
+
+
+def young_orbit_hypergraph(rng, k: int) -> Hypergraph:
+    """A union of random orbits of k-subsets under a random Young subgroup
+    (all permutations within each cell of a random vertex partition); in
+    about a third of the draws one edge is deleted afterwards."""
+    n = rng.randrange(2 * k, 13)
+    classes = [rng.randrange(rng.randrange(1, 4)) for _ in range(n)]
+    orbits: dict = {}
+    for c in combinations(range(n), k):
+        orbits.setdefault(tuple(sorted(classes[v] for v in c)), []).append(c)
+    chosen = [o for o in orbits.values() if rng.random() < 0.85] or [next(iter(orbits.values()))]
+    edges = [c for o in chosen for c in o]
+    if len(edges) > 1 and rng.random() < 1 / 3:
+        edges.pop(rng.randrange(len(edges)))
+    return Hypergraph.from_vertex_sets(n, edges)
+
+
+def assert_levels_match_unreduced(h: Hypergraph, levels) -> None:
+    items = [tuple(bits(e)) for e in h.edges]
+    adjacency = line_adjacency(items, h.n)
+    for level in levels:
+        if level <= len(items):
+            assert is_n_line_ec_hyper(h, level) == unreduced_verdict(adjacency, items, level), (h, level)
+
+
+def test_hypergraph_twin_classes_match_definition(rng):
+    for _ in range(150):
+        h = young_orbit_hypergraph(rng, rng.randrange(2, 5))
+        expected = brute_twin_classes(
+            h.n, lambda p: sorted(sum(1 << p[v] for v in bits(e)) for e in h.edges) == list(h.edges)
+        )
+        assert hypergraphs._hypergraph_twin_classes(h) == expected, h
+
+
+def test_twin_reduction_matches_unreduced_search_on_hypergraphs(rng, reduced_outcomes):
+    for k in (2, 3, 4):
+        for _ in range(100):
+            assert_levels_match_unreduced(young_orbit_hypergraph(rng, k), range(1, 5))
+    assert reduced_outcomes[True] >= 50 and reduced_outcomes[False] >= 15, reduced_outcomes
+
+
+def test_twin_reduction_matches_unreduced_search_on_constructions():
+    # the crossing sweep of acceptance criterion 9 (level 2 of the inputs
+    # over 1,000 edges runs under -m slow), and cone/join/multipartite
+    # outputs in vertex and line mode
+    for x, y, k in CRITERION_9_SWEEP:
+        h = crossing_hypergraph(x, y, k)
+        assert_levels_match_unreduced(h, (1, 3, 4) if len(h.edges) > 1000 else range(1, 5))
+    for g in construction_outputs():
+        edges = g.edges()
+        line = line_adjacency(edges, g.n)
+        for level in range(1, 5):
+            assert is_n_ec(g, level) == unreduced_verdict(g.adj, range(g.n), level)
+            assert is_n_line_ec(g, level) == unreduced_verdict(line, edges, level)
+        assert xi(g) == unreduced_closure_number(g.adj)
+        assert xi_line(g) == unreduced_closure_number(line)
+
+
+@pytest.mark.slow
+def test_twin_reduction_matches_unreduced_search_on_large_crossings():
+    for x, y, k in CRITERION_9_SWEEP:
+        h = crossing_hypergraph(x, y, k)
+        if len(h.edges) > 1000:
+            assert_levels_match_unreduced(h, (2,))
+
+
+def test_large_crossing_hypergraphs_are_two_line_ec():
+    # the README's 2808-edge example, and 8316 edges, which took 113 s
+    # before the twin reduction
+    assert is_n_line_ec_hyper(crossing_hypergraph(9, 9, 4), 2).holds
+    h = crossing_hypergraph(9, 9, 5)
+    t0 = time.perf_counter()
+    assert is_n_line_ec_hyper(h, 2).holds
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_hypergraph_twins_are_not_sought_when_the_first_prefix_fails(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("twins sought")
+
+    monkeypatch.setattr(hypergraphs, "_hypergraph_twin_classes", refuse)
+    # each fails at the first prefix (level 3 always does on crossings)
+    for h, level in ((crossing_hypergraph(7, 7, 4), 3), (crossing_hypergraph(10, 10, 5), 3),
+                     (crossing_hypergraph(6, 6, 4), 2), (crossing_hypergraph(2, 2, 2), 2)):
+        assert not is_n_line_ec_hyper(h, level).holds
+    with pytest.raises(AssertionError, match="twins sought"):
+        is_n_line_ec_hyper(crossing_hypergraph(5, 5, 3), 2)
