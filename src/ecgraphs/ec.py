@@ -10,26 +10,36 @@ arbitrary-width ints, so line mode never materializes a line graph and is not
 bound by the 64-vertex cap.  One split search, ``_ec_split_search``, decides
 every level in every mode, and ``xi``/``xi_line`` ascend through it.
 
-Symmetric inputs are checked on fewer subsets.  Two vertices are *twins* when
+Symmetric inputs are checked on fewer subsets.  An automorphism maps failing
+subsets to failing subsets, so take any group of automorphisms, acting on the
+items, and in each orbit of level-subsets a member S whose least item is as
+small as possible: that item is the least of its own item orbit, or a group
+element would map S to a member with a smaller least item.  So the property
+holds when every subset whose least item is an orbit representative passes,
+that is when every prefix of the ordered search led by a representative
+passes.  The same argument shows that the first failing subset is led by a
+representative (an image with a smaller least item would fail earlier), so
+searching the led prefixes in order finds the same certificate.  Any group
+will do, provided each representative is the *least* item of its orbit.
+
+Two groups supply the representatives.  Two vertices are *twins* when
 swapping them maps the edge set to itself.  Being twins is an equivalence,
 because (u w) = (u v)(v w)(u v), and the twin classes generate a group of
 automorphisms, all permutations within each class; two items lie in one of
 its orbits exactly when their vertices carry the same multiset of class
-labels.  An automorphism maps failing subsets to failing subsets.  In each
-orbit of level-subsets take a member S whose least item is as small as
-possible: that item is the least of its own item orbit, or an automorphism
-would map S to a member with a smaller least item.  So the property holds
-when every subset whose least item is an orbit representative passes, that
-is when every prefix of the ordered search led by a representative passes.
-The same argument shows that the first failing subset is led by a
-representative (an image with a smaller least item would fail earlier), so
-searching the led prefixes in order finds the same certificate.  For
-crossing hypergraphs, whose group S_x x S_y leaves k - 1 edge orbits, that is
-k - 1 of the m prefixes at level 2.
+labels.  Twins take one pass over the rows.  For crossing hypergraphs, whose
+group S_x x S_y leaves k - 1 edge orbits, that is k - 1 of the m prefixes at
+level 2.  Graphs also have the full automorphism group, generated by the
+permutations ``canon.canonical_search`` finds; in line mode each of them maps
+edge (u, v) to the sorted edge (p[u], p[v]).  Paley graphs have no twins but
+a vertex-transitive group, so only the prefixes led by vertex 0 remain.  The
+graph deciders use the full group from level 3 on, where the search checks
+C(count - 1, level - 1) prefixes, and twins at level 2, where it checks at
+most count - 2 more and one canonical search would cost more than it saves.
 
-The deciders find twins themselves, and only when the first prefix has
-passed: most small graphs fail at the first prefix, for less than finding
-their twins would cost.
+The deciders find their symmetry themselves, only when the first prefix has
+passed (most small graphs fail at the first prefix, for less than finding
+twins would cost), and at most once per group in one decider call.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from .canon import canonical_search, orbit_partition
 from .graphs import Graph, GraphError, MAX_VERTICES
 
 
@@ -67,24 +78,24 @@ class EcVerdict:
 
 
 def _ec_split_search(
-    adjacency: Sequence[int], count: int, level: int, orbit_reps: Callable[[], Sequence[int]] | None = None
+    adjacency: Sequence[int], count: int, level: int, orbit_reps: Callable[[int], Sequence[int]] | None = None
 ) -> tuple[int, ...] | None:
     """First failing split packed as ``(*subset, a)`` in the certificate
     order, or None if the property holds.
 
     The (level-1)-prefixes are checked in lexicographic order.
     ``orbit_reps``, when given, is asked only once the first prefix has
-    passed, and returns the least item of each orbit of a group of item
-    permutations that preserve the adjacency.  When some item is not a
-    representative, only the prefixes led by a representative are checked
-    from then on, which keeps the first failing split (see the module
-    docstring).
+    passed, with the level, and returns the least item of each orbit of a
+    group of item permutations that preserve the adjacency.  When some item
+    is not a representative, only the prefixes led by a representative are
+    checked from then on, which keeps the first failing split (see the
+    module docstring).
     """
     prefixes: Iterable[tuple[int, ...]] = combinations(range(count - 1), level - 1)
     failure = _first_failure(adjacency, count, islice(prefixes, 1))
     if failure is not None:
         return failure
-    if orbit_reps is not None and 2 <= level < count and len(leaders := orbit_reps()) < count:
+    if orbit_reps is not None and 2 <= level < count and len(leaders := orbit_reps(level)) < count:
         prefixes = _led_prefixes(leaders, count, level)
     return _first_failure(adjacency, count, prefixes)
 
@@ -144,7 +155,7 @@ def _first_failure(
 
 
 # ---------------------------------------------------------------------------
-# twin symmetry
+# symmetry
 
 
 def graph_twin_classes(adj: Sequence[int]) -> list[int]:
@@ -179,6 +190,39 @@ def twin_orbit_reps(labels: Sequence[int], items: Sequence[Sequence[int]]) -> li
     return list(firsts.values())
 
 
+def automorphism_orbit_reps(g: Graph, items: Sequence[tuple[int, ...]]) -> list[int]:
+    """The least item of every orbit of the automorphism group of g,
+    ascending; items are sorted vertex tuples that the group permutes (the
+    vertices as 1-tuples, or the edges).  Each generator from
+    ``canonical_search`` maps an item to its sorted image."""
+    _, gens = canonical_search(g.n, g.adj)
+    index = {item: i for i, item in enumerate(items)}
+    perms = [[index[tuple(sorted(p[v] for v in item))] for item in items] for p in gens]
+    reps: list[int] = []
+    for i, orbit in enumerate(orbit_partition(len(items), perms)):
+        if orbit == len(reps):  # orbit ids are numbered in order of first item
+            reps.append(i)
+    return reps
+
+
+def _graph_reps(g: Graph, edges: Sequence[tuple[int, int]] | None = None) -> Callable[[int], list[int]]:
+    """Orbit-representative source for one decider call on g, over its
+    vertices or the given edges: the twin group's at level 2, the full
+    automorphism group's from level 3 (see the module docstring), each
+    computed at most once."""
+    found: dict[bool, list[int]] = {}
+
+    def reps(level: int) -> list[int]:
+        full = level >= 3
+        if full not in found:
+            items = [(v,) for v in range(g.n)] if edges is None else edges
+            found[full] = (automorphism_orbit_reps(g, items) if full
+                           else twin_orbit_reps(graph_twin_classes(g.adj), items))
+        return found[full]
+
+    return reps
+
+
 def _verdict(level: int, failure: tuple[int, ...] | None, items: Sequence[Any]) -> EcVerdict:
     if failure is None:
         return EcVerdict(level, True)
@@ -188,19 +232,15 @@ def _verdict(level: int, failure: tuple[int, ...] | None, items: Sequence[Any]) 
     return EcVerdict(level, False, cert_a, cert_b)
 
 
-def _graph_reps(g: Graph, items: Sequence[Sequence[int]]) -> list[int]:
-    return twin_orbit_reps(graph_twin_classes(g.adj), items)
-
-
 def is_n_ec(g: Graph, n: int) -> EcVerdict:
     """Decide whether g is n-existentially closed over vertices."""
     if not 1 <= n <= g.n:
         raise GraphError(f"level must be 1..{g.n} for this graph, got {n}")
-    failure = _ec_split_search(g.adj, g.n, n, lambda: _graph_reps(g, [(v,) for v in range(g.n)]))
+    failure = _ec_split_search(g.adj, g.n, n, _graph_reps(g))
     return _verdict(n, failure, range(g.n))
 
 
-def _closure_number(adjacency: Sequence[int], count: int, orbit_reps: Callable[[], Sequence[int]]) -> int:
+def _closure_number(adjacency: Sequence[int], count: int, orbit_reps: Callable[[int], Sequence[int]]) -> int:
     """Largest level the split search passes; ascending stops at the first
     failure, which is valid because the property is monotone."""
     level = 0
@@ -211,7 +251,7 @@ def _closure_number(adjacency: Sequence[int], count: int, orbit_reps: Callable[[
 
 def xi(g: Graph) -> int:
     """Largest n for which g is n-e.c.; 0 when not even 1-e.c."""
-    return _closure_number(g.adj, g.n, lambda: _graph_reps(g, [(v,) for v in range(g.n)]))
+    return _closure_number(g.adj, g.n, _graph_reps(g))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +300,7 @@ def is_n_line_ec(g: Graph, n: int) -> EcVerdict:
     m = len(edges)
     if not 1 <= n <= m:
         raise GraphError(f"level must be 1..{m} for this graph, got {n}")
-    return _verdict(n, _ec_split_search(line_adjacency(edges, g.n), m, n, lambda: _graph_reps(g, edges)), edges)
+    return _verdict(n, _ec_split_search(line_adjacency(edges, g.n), m, n, _graph_reps(g, edges)), edges)
 
 
 def xi_line(g: Graph) -> int:
@@ -270,7 +310,7 @@ def xi_line(g: Graph) -> int:
     one adjacency list; the theorem that the value never exceeds 2 is asserted.
     """
     edges = g.edges()
-    level = _closure_number(line_adjacency(edges, g.n), len(edges), lambda: _graph_reps(g, edges))
+    level = _closure_number(line_adjacency(edges, g.n), len(edges), _graph_reps(g, edges))
     if level > 2:
         raise AssertionError(f"graph found {level}-line e.c.; levels beyond 2 are impossible")
     return level

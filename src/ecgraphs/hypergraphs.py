@@ -125,7 +125,7 @@ def is_n_line_ec_hyper(h: Hypergraph, n: int) -> EcVerdict:
         raise HypergraphError(f"level must be 1..{m} for this hypergraph, got {n}")
     items = [tuple(bits(e)) for e in h.edges]
     failure = _ec_split_search(
-        line_adjacency(items, h.n), m, n, lambda: twin_orbit_reps(_hypergraph_twin_classes(h), items)
+        line_adjacency(items, h.n), m, n, lambda level: twin_orbit_reps(_hypergraph_twin_classes(h), items)
     )
     return _verdict(n, failure, items)
 

@@ -12,7 +12,7 @@ from types import GeneratorType
 
 import pytest
 
-from ecgraphs import ec
+from ecgraphs import ec, hypergraphs
 from ecgraphs.canon import canonical_search, orbit_partition, refine_partition
 from ecgraphs.graphs import Graph, bits, is_connected
 
@@ -220,6 +220,25 @@ def brute_twin_classes(n: int, automorphic) -> list[int]:
     return labels
 
 
+def brute_orbit_reps(n: int, gens, items) -> list[int]:
+    """The least item of every orbit of the group that the vertex
+    permutations ``gens`` generate, acting on items as vertex sets: the group
+    is closed element by element, and each item's orbit is the set of its
+    images under every element; representatives ascending."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for s in gens:
+            q = tuple(s[x] for x in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    index = {frozenset(item): i for i, item in enumerate(items)}
+    return sorted({min(index[frozenset(p[v] for v in item)] for p in group) for item in items})
+
+
 def brute_accepts(g: Graph, connected: bool) -> bool:
     """Canonical-deletion rule by definition, for the newest vertex n-1: a
     vertex is eligible when the others induce a connected graph (any vertex
@@ -258,17 +277,31 @@ def reduced_outcomes(monkeypatch) -> Counter:
     """Counts by outcome (True: no failing split) of the split searches that
     switched to the prefixes led by orbit representatives (a generator; the
     ordered prefixes come from itertools), so a test can show that its
-    inputs drive the reduced search both ways."""
+    inputs drive the reduced search both ways.  The keys ``(source,
+    outcome)`` count them again by the source of the representatives,
+    ``"twins"`` or ``"automorphism"``: the one computed last, since a decider
+    asks for its sources in ascending level order."""
     seen: Counter = Counter()
+    source = [None]
     real = ec._first_failure
 
     def counted(adjacency, count, prefixes):
         out = real(adjacency, count, prefixes)
         if isinstance(prefixes, GeneratorType):
             seen[out is None] += 1
+            seen[source[0], out is None] += 1
         return out
 
+    def tagged(name, real_source):
+        def spy(*args):
+            source[0] = name
+            return real_source(*args)
+        return spy
+
     monkeypatch.setattr(ec, "_first_failure", counted)
+    monkeypatch.setattr(ec, "automorphism_orbit_reps", tagged("automorphism", ec.automorphism_orbit_reps))
+    for module in (ec, hypergraphs):
+        monkeypatch.setattr(module, "twin_orbit_reps", tagged("twins", ec.twin_orbit_reps))
     return seen
 
 

@@ -2,13 +2,14 @@ from itertools import combinations
 
 import pytest
 
-from ecgraphs import ec
+from ecgraphs import canon, ec
 from ecgraphs.canon import is_isomorphic
 from ecgraphs.constructions import paley
 from ecgraphs.ec import (
     EcVerdict,
     _ec_split_search,
     _verdict,
+    automorphism_orbit_reps,
     is_n_ec,
     is_n_line_ec,
     line_adjacency,
@@ -31,12 +32,15 @@ from ecgraphs.graphs import (
     empty_graph,
     path_graph,
 )
-from ecgraphs.search import SearchConstraints, enumerate_connected
+from ecgraphs.graph6 import write_graph6
+from ecgraphs.search import SearchConstraints, enumerate_connected, filter_stream, run_named_search
 
 from conftest import (
     brute_first_failure,
+    brute_orbit_reps,
     brute_twin_classes,
     random_graph,
+    random_permutation,
     unreduced_closure_number,
     unreduced_verdict,
 )
@@ -373,7 +377,7 @@ def test_twin_reduction_matches_unreduced_search(rng, reduced_outcomes):
                 assert is_n_line_ec(g, level) == unreduced_verdict(line, edges, level), (g.adj, level)
         assert xi(g) == unreduced_closure_number(g.adj)
         assert xi_line(g) == unreduced_closure_number(line)
-    assert reduced_outcomes[True] >= 50 and reduced_outcomes[False] >= 50, reduced_outcomes
+    assert reduced_outcomes["twins", True] >= 50 and reduced_outcomes["twins", False] >= 50, reduced_outcomes
 
 
 def test_twin_pair_at_the_end_is_the_first_failure():
@@ -419,3 +423,164 @@ def test_twins_are_not_sought_when_the_first_prefix_fails(monkeypatch, rng):
                 else:
                     asked += bool(found)
     assert first_fails >= 500 and asked >= 30, (first_fails, asked)
+
+
+# -- automorphism reduction (level 3 and up) -------------------------------------------
+
+PETERSEN = Graph.from_edges(
+    10,
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)],
+)
+CUBE = cartesian_product(cartesian_product(complete_graph(2), complete_graph(2)), complete_graph(2))
+
+
+def cayley_graph(n: int, jumps) -> Graph:
+    """The Cayley graph of Z_n with connection set ``jumps`` and its negatives."""
+    return Graph.from_edges(n, {tuple(sorted((v, (v + j) % n))) for v in range(n) for j in jumps if j % n})
+
+
+def twin_free_symmetric_graphs(rng):
+    """(graph, levels) pairs: vertex-transitive graphs without twins, so the
+    twin source reduces nothing and every reduction comes from the full
+    automorphism group.  The large random Cayley graphs often pass the first
+    level-3 prefix and fail a later one."""
+    cases = [(paley(q), range(1, 5)) for q in (5, 9, 13, 17, 25, 29)]
+    cases += [(paley(q), (3, 4)) for q in (37, 41, 49, 53, 61)]
+    cases += [(cycle_graph(n), range(1, 5)) for n in range(5, 13)]
+    cases += [(g, range(1, 5)) for g in (PETERSEN, ROOK, CUBE)]
+    for lo, hi, count, levels in ((5, 17, 40, range(1, 5)), (30, 65, 20, (3, 4))):
+        drawn = 0
+        while drawn < count:
+            n = rng.randrange(lo, hi)
+            g = cayley_graph(n, [j for j in range(1, n // 2 + 1) if rng.random() < 0.5])
+            if len(set(graph_twin_classes(g.adj))) == n:
+                cases.append((g, levels))
+                drawn += 1
+    return cases
+
+
+def assert_matches_unreduced(g: Graph, levels) -> None:
+    edges = g.edges()
+    line = line_adjacency(edges, g.n)
+    for level in levels:
+        if level <= g.n:
+            assert is_n_ec(g, level) == unreduced_verdict(g.adj, range(g.n), level), (g.adj, level)
+        if level <= len(edges):
+            assert is_n_line_ec(g, level) == unreduced_verdict(line, edges, level), (g.adj, level)
+    assert xi(g) == unreduced_closure_number(g.adj), g.adj
+    assert xi_line(g) == unreduced_closure_number(line), g.adj
+
+
+def test_automorphism_orbit_reps_match_group_closure(rng):
+    # every graph with n <= 6 in three labellings, over vertices and over
+    # edges: the least item of each orbit of the group the generators generate
+    classes = 0
+    for n in range(1, 7):
+        for g in enumerate_connected(n, SearchConstraints(require_connected=False)):
+            classes += 1
+            for h in (g, g.permuted(random_permutation(rng, n)), g.permuted(random_permutation(rng, n))):
+                _, gens = canon.canonical_search(h.n, h.adj)
+                for items in ([(v,) for v in range(n)], h.edges()):
+                    assert automorphism_orbit_reps(h, items) == brute_orbit_reps(n, gens, items), (h.adj, items)
+    assert classes == 1 + 2 + 4 + 11 + 34 + 156
+    assert automorphism_orbit_reps(paley(61), [(v,) for v in range(61)]) == [0]
+    assert automorphism_orbit_reps(PETERSEN, PETERSEN.edges()) == [0]
+    assert automorphism_orbit_reps(path_graph(5), path_graph(5).edges()) == [0, 1]
+
+
+def test_automorphism_reduction_matches_unreduced_search(rng, reduced_outcomes):
+    # twin-free symmetric graphs and seeded relabellings of them, vertex and
+    # line mode, and both closure numbers: verdict and certificate equal the
+    # search without symmetry
+    cases = twin_free_symmetric_graphs(rng)
+    for g, levels in cases:
+        assert len(set(graph_twin_classes(g.adj))) == g.n
+        assert_matches_unreduced(g, levels)
+    # the Paley graphs from q = 29 on are the 3-e.c. ones, so every sixth
+    # relabelling is of one of them to drive the reduced search to a pass
+    passing = [(paley(q), (3, 4)) for q in (29, 37, 41)]
+    for i in range(300):
+        g, levels = rng.choice(cases if i % 6 else passing)
+        assert_matches_unreduced(g.permuted(random_permutation(rng, g.n)), levels)
+    assert reduced_outcomes["automorphism", True] >= 50, reduced_outcomes
+    assert reduced_outcomes["automorphism", False] >= 50, reduced_outcomes
+
+
+def test_paley_61_level_three_checks_only_the_prefixes_led_by_vertex_0(monkeypatch):
+    # paley(61) is vertex-transitive: of the C(60, 2) = 1,770 prefixes of the
+    # unreduced level-3 search only the 59 led by vertex 0 remain
+    checked = []
+    real = ec._first_failure
+
+    def spy(adjacency, count, prefixes):
+        prefixes = list(prefixes)
+        checked.extend(prefixes)
+        return real(adjacency, count, prefixes)
+
+    monkeypatch.setattr(ec, "_first_failure", spy)
+    g = paley(61)
+    assert is_n_ec(g, 3).holds
+    assert checked == [(0, j) for j in range(1, 60)]
+    checked.clear()
+    assert _ec_split_search(g.adj, g.n, 3) is None
+    assert len(checked) == 1770
+
+
+@pytest.fixture
+def canon_calls(monkeypatch) -> list:
+    """The adjacency lists ``ec`` hands to ``canonical_search``."""
+    calls = []
+    real = canon.canonical_search
+
+    def spy(n, adj):
+        calls.append(adj)
+        return real(n, adj)
+
+    monkeypatch.setattr(ec, "canonical_search", spy)
+    return calls
+
+
+def test_canonical_search_stays_off_the_level_two_path(canon_calls, rng):
+    # the searches and filter ask only level-2 questions, whose prefix count
+    # is too small to pay for a canonical search
+    graphs = [paley(13), paley(61), ROOK, PETERSEN] + [random_graph(rng, rng.randrange(2, 10), 0.5) for _ in range(200)]
+    for g in graphs:
+        is_n_ec(g, 2)
+        if g.edge_count() >= 2:
+            is_n_line_ec(g, 2)
+    assert is_n_ec(paley(61), 2).holds
+    report = run_named_search("planar_2lec", 7)
+    assert len(report.survivors) == 5
+    lines = [write_graph6(g) for n in range(4, 8) for g in enumerate_connected(n)]
+    for predicates in (("two_ec",), ("two_line_ec",), ("planar", "two_line_ec")):
+        filter_stream(lines, SearchConstraints(predicates=predicates))
+    assert not canon_calls
+
+
+def test_canonical_search_runs_at_most_once_per_decider_call(canon_calls, rng):
+    # a closure number reuses the group across levels 3 and up, and no
+    # decider looks for it when the first prefix fails
+    graphs = [g for g, _ in twin_free_symmetric_graphs(rng)]
+    graphs += [random_graph(rng, rng.randrange(3, 12), rng.choice([0.3, 0.5, 0.7])) for _ in range(300)]
+    first_fails = asked = 0
+    for g in graphs:
+        edges = g.edges()
+        for decide in (xi, xi_line):
+            canon_calls.clear()
+            decide(g)
+            assert len(canon_calls) <= 1, (g.adj, decide)
+            asked += len(canon_calls)
+        for level in (3, 4):
+            for decide, adjacency, count in ((is_n_ec, g.adj, g.n),
+                                             (is_n_line_ec, line_adjacency(edges, g.n), len(edges))):
+                if level > count:
+                    continue
+                canon_calls.clear()
+                failure = _ec_split_search(adjacency, count, level)
+                decide(g, level)
+                assert len(canon_calls) <= 1, (g.adj, level)
+                if failure is not None and failure[:level - 1] == tuple(range(level - 1)):
+                    assert not canon_calls, (g.adj, level)
+                    first_fails += 1
+    assert first_fails >= 500 and asked >= 10, (first_fails, asked)
