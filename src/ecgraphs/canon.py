@@ -215,3 +215,33 @@ def orbit_partition(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
 
 def automorphism_orbits(g: Graph) -> list[int]:
     return orbit_partition(g.n, automorphism_generators(g))
+
+
+def orbit_leaders(items: Sequence[int], gens: Sequence[Sequence[int]]) -> list[int]:
+    """Index of the first item of each orbit of the group generated by the
+    vertex permutations ``gens``, ascending.  Items are distinct vertex
+    bitmasks, each permutation maps a mask to the mask of its images, and
+    the items must be closed under the generators.  Each orbit is swept
+    depth first from its first item."""
+    maps = [[1 << v for v in g] for g in gens]
+    leaders: list[int] = []
+    seen: set[int] = set()
+    for i, item in enumerate(items):
+        if item in seen:
+            continue
+        leaders.append(i)
+        seen.add(item)
+        stack = [item]
+        while stack:
+            cur = stack.pop()
+            for mp in maps:
+                img = 0
+                mm = cur
+                while mm:
+                    low = mm & -mm
+                    img |= mp[low.bit_length() - 1]
+                    mm ^= low
+                if img not in seen:
+                    seen.add(img)
+                    stack.append(img)
+    return leaders

@@ -37,17 +37,26 @@ class CliError(Exception):
 
 
 def _open_text(path: str):
+    """A path or stdin, decoded byte for byte (latin-1), so both routes give
+    each byte its own character and the parsers name a bad byte by value."""
     if path == "-":
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(encoding="latin-1")
         return contextlib.nullcontext(sys.stdin)
     try:
-        return open(path, "r", encoding="ascii")
+        return open(path, "r", encoding="latin-1")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_text(path: str) -> str:
     with _open_text(path) as fh:
-        return fh.read()
+        text = fh.read()
+    if not text.isascii():  # graph6 and the hypergraph format are ASCII
+        pos = next(i for i, ch in enumerate(text) if ord(ch) > 127)
+        line = text.count("\n", 0, pos) + 1
+        raise CliError(f"line {line}: byte {ord(text[pos])} is not ASCII")
+    return text
 
 
 def _read_graphs(path: str, count: int) -> list[Graph]:
@@ -275,9 +284,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     if cmd == "filter":
         cons = _constraints_from_args(args)
         with _open_text(args.input) as fh:
-            # one line at a time, split exactly as str.splitlines splits
-            lines = (piece for raw in fh for piece in raw.splitlines())
-            report = filter_stream(lines, cons, lenient=args.lenient)
+            report = filter_stream(fh, cons, lenient=args.lenient)  # one line at a time
         _report_out(report, args.format)
         return 0
     raise CliError(f"unknown command {cmd!r}")  # unreachable

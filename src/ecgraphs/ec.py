@@ -37,18 +37,21 @@ graph deciders use the full group from level 3 on, where the search checks
 C(count - 1, level - 1) prefixes, and twins at level 2, where it checks at
 most count - 2 more and one canonical search would cost more than it saves.
 
-The deciders find their symmetry themselves, only when the first prefix has
-passed (most small graphs fail at the first prefix, for less than finding
-twins would cost), and at most once per group in one decider call.
+The split search checks the prefixes led by item 0, the least item of its
+orbit under any group, before it asks a decider for symmetry: most small
+graphs fail at one of them, and in vertex mode a vertex-transitive graph
+fails nowhere else.  A decider finds each group at most once per call, the
+full group's leaders by ``canon.orbit_leaders``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import comb
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .canon import canonical_search, orbit_partition
+from .canon import canonical_search, orbit_leaders
 from .graphs import Graph, GraphError, MAX_VERTICES
 
 
@@ -83,32 +86,33 @@ def _ec_split_search(
     """First failing split packed as ``(*subset, a)`` in the certificate
     order, or None if the property holds.
 
-    The (level-1)-prefixes are checked in lexicographic order.
-    ``orbit_reps``, when given, is asked only once the first prefix has
-    passed, with the level, and returns the least item of each orbit of a
-    group of item permutations that preserve the adjacency.  When some item
-    is not a representative, only the prefixes led by a representative are
-    checked from then on, which keeps the first failing split (see the
-    module docstring).
+    The (level-1)-prefixes are checked in lexicographic order, those led by
+    item 0 first.  ``orbit_reps``, when given, is asked only once they have
+    all passed, with the level, and returns the least item of each orbit of
+    a group of item permutations that preserve the adjacency.  When some
+    item is not a representative, only the prefixes led by the other
+    representatives are checked from then on, which keeps the first failing
+    split (see the module docstring).
     """
     prefixes: Iterable[tuple[int, ...]] = combinations(range(count - 1), level - 1)
-    failure = _first_failure(adjacency, count, islice(prefixes, 1))
+    if orbit_reps is None or not 2 <= level < count:
+        return _first_failure(adjacency, count, prefixes)
+    failure = _first_failure(adjacency, count, islice(prefixes, comb(count - 2, level - 2)))
     if failure is not None:
         return failure
-    if orbit_reps is not None and 2 <= level < count and len(leaders := orbit_reps(level)) < count:
-        prefixes = _led_prefixes(leaders, count, level)
+    if len(leaders := orbit_reps(level)) < count:
+        prefixes = _led_prefixes(leaders[1:], count, level)
     return _first_failure(adjacency, count, prefixes)
 
 
 def _led_prefixes(leaders: Sequence[int], count: int, level: int) -> Iterator[tuple[int, ...]]:
-    """The (level-1)-prefixes after the first whose first item is one of
-    ``leaders`` (ascending), in lexicographic order."""
+    """The (level-1)-prefixes whose first item is one of ``leaders``
+    (ascending), in lexicographic order."""
     for r in leaders:
         if r > count - level:  # no level-subset has a larger least item
             return
         for rest in combinations(range(r + 1, count - 1), level - 2):
-            if r or rest != tuple(range(1, level - 1)):
-                yield (r, *rest)
+            yield (r, *rest)
 
 
 def _first_failure(
@@ -190,21 +194,6 @@ def twin_orbit_reps(labels: Sequence[int], items: Sequence[Sequence[int]]) -> li
     return list(firsts.values())
 
 
-def automorphism_orbit_reps(g: Graph, items: Sequence[tuple[int, ...]]) -> list[int]:
-    """The least item of every orbit of the automorphism group of g,
-    ascending; items are sorted vertex tuples that the group permutes (the
-    vertices as 1-tuples, or the edges).  Each generator from
-    ``canonical_search`` maps an item to its sorted image."""
-    _, gens = canonical_search(g.n, g.adj)
-    index = {item: i for i, item in enumerate(items)}
-    perms = [[index[tuple(sorted(p[v] for v in item))] for item in items] for p in gens]
-    reps: list[int] = []
-    for i, orbit in enumerate(orbit_partition(len(items), perms)):
-        if orbit == len(reps):  # orbit ids are numbered in order of first item
-            reps.append(i)
-    return reps
-
-
 def _graph_reps(g: Graph, edges: Sequence[tuple[int, int]] | None = None) -> Callable[[int], list[int]]:
     """Orbit-representative source for one decider call on g, over its
     vertices or the given edges: the twin group's at level 2, the full
@@ -216,8 +205,11 @@ def _graph_reps(g: Graph, edges: Sequence[tuple[int, int]] | None = None) -> Cal
         full = level >= 3
         if full not in found:
             items = [(v,) for v in range(g.n)] if edges is None else edges
-            found[full] = (automorphism_orbit_reps(g, items) if full
-                           else twin_orbit_reps(graph_twin_classes(g.adj), items))
+            if full:
+                _, gens = canonical_search(g.n, g.adj)
+                found[full] = orbit_leaders([sum(1 << v for v in item) for item in items], gens)
+            else:
+                found[full] = twin_orbit_reps(graph_twin_classes(g.adj), items)
         return found[full]
 
     return reps

@@ -14,6 +14,7 @@ from typing import Sequence
 from .graphs import MAX_VERTICES, Graph
 
 HEADER = ">>graph6<<"
+SPACE = " \t\n\r\v\f"  # stripped from lines: ASCII only, so other bytes get named
 
 
 class Graph6Error(ValueError):
@@ -25,7 +26,7 @@ class Graph6Error(ValueError):
 
 
 def parse_graph6(text: str) -> Graph:
-    s = text.strip()
+    s = text.strip(SPACE)
     base = 0
     if s.startswith(HEADER):
         base = len(HEADER)

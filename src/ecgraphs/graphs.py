@@ -172,34 +172,25 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return complete_multipartite([a, b])
 
 
-_FAMILY_ARITY = {
-    "complete": 1,
-    "cycle": 1,
-    "path": 1,
-    "complete_bipartite": 2,
-    "complete_multipartite": None,  # variadic
-    "empty": 1,
+# name -> (builder, parameter count; None for variadic)
+_FAMILIES = {
+    "complete": (complete_graph, 1),
+    "cycle": (cycle_graph, 1),
+    "path": (path_graph, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+    "complete_multipartite": (lambda *parts: complete_multipartite(list(parts)), None),
+    "empty": (empty_graph, 1),
 }
 
 
 def standard_family(name: str, params: Sequence[int]) -> Graph:
     """Build a named family member; used by the CLI ``construct family`` command."""
-    if name not in _FAMILY_ARITY:
+    if name not in _FAMILIES:
         raise GraphError(f"unknown family {name!r}")
-    arity = _FAMILY_ARITY[name]
+    build, arity = _FAMILIES[name]
     if arity is not None and len(params) != arity:
         raise GraphError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
-    if name == "complete":
-        return complete_graph(params[0])
-    if name == "cycle":
-        return cycle_graph(params[0])
-    if name == "path":
-        return path_graph(params[0])
-    if name == "complete_bipartite":
-        return complete_bipartite(params[0], params[1])
-    if name == "complete_multipartite":
-        return complete_multipartite(list(params))
-    return empty_graph(params[0])
+    return build(*params)
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,6 @@ class Hypergraph:
         masks.sort()
         return cls(n, tuple(masks))
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def is_uniform(self, k: int) -> bool:
         return all(e.bit_count() == k for e in self.edges)
 

@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .canon import canonical_form, canonical_search, orbit_partition, refine_partition
+from .canon import canonical_form, canonical_search, orbit_leaders, orbit_partition, refine_partition
 from .ec import is_n_ec, is_n_line_ec
-from .graph6 import Graph6Error, parse_graph6
+from .graph6 import SPACE, Graph6Error, parse_graph6
 from .graphs import Graph, bits, is_connected, _reach
 from .planarity import is_planar, lr_planar_rows
 
@@ -193,28 +193,7 @@ def _neighborhoods(k: int, rows: Sequence[int], forced: int, lo: int, hi: int, g
         _, gens = canonical_search(k, rows)  # no generators when refinement is discrete
     if not gens:
         return masks
-    maps = [[1 << g[v] for v in range(k)] for g in gens]
-    reps: list[int] = []
-    seen: set[int] = set()
-    for mask in masks:
-        if mask in seen:
-            continue
-        reps.append(mask)
-        seen.add(mask)
-        stack = [mask]
-        while stack:
-            cur = stack.pop()
-            for mp in maps:
-                img = 0
-                mm = cur
-                while mm:
-                    low = mm & -mm
-                    img |= mp[low.bit_length() - 1]
-                    mm ^= low
-                if img not in seen:
-                    seen.add(img)
-                    stack.append(img)
-    return reps
+    return [masks[i] for i in orbit_leaders(masks, gens)]
 
 
 def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -> Iterator[Graph]:
@@ -347,7 +326,7 @@ def filter_stream(
     generated = 0
     max_seen = 0
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
+        text = raw.strip(SPACE)
         try:
             if not text:
                 raise Graph6Error("blank line", 0)

@@ -299,7 +299,7 @@ def reduced_outcomes(monkeypatch) -> Counter:
         return spy
 
     monkeypatch.setattr(ec, "_first_failure", counted)
-    monkeypatch.setattr(ec, "automorphism_orbit_reps", tagged("automorphism", ec.automorphism_orbit_reps))
+    monkeypatch.setattr(ec, "canonical_search", tagged("automorphism", ec.canonical_search))
     for module in (ec, hypergraphs):
         monkeypatch.setattr(module, "twin_orbit_reps", tagged("twins", ec.twin_orbit_reps))
     return seen

@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 
@@ -233,6 +234,65 @@ def test_filter_strict_malformed_exits_two(capsys, tmp_path):
     assert code == 2 and "line 2" in err
 
 
+# a two-byte UTF-8 sequence, a byte that latin-1 reads as a line break
+# (NEL), one it reads as trailing whitespace (NBSP), and 0xFF
+NON_ASCII_STREAM = b"C~\n\xc3\xa9\nBw\nB\x85w\nBw\xa0\n\xff\n"
+
+
+@pytest.fixture(params=["path", "stdin"])
+def non_ascii_input(request, monkeypatch, tmp_path) -> str:
+    """The same bytes through a path or through stdin (a byte stream that
+    decodes as UTF-8 with escapes, as an interpreter's stdin does)."""
+    if request.param == "path":
+        path = tmp_path / "in.g6"
+        path.write_bytes(NON_ASCII_STREAM)
+        return str(path)
+    stdin = io.TextIOWrapper(io.BytesIO(NON_ASCII_STREAM), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    return "-"
+
+
+def test_filter_reads_non_ascii_bytes_one_by_one(capsys, non_ascii_input):
+    # each byte is its own character on both routes, and only newlines end a
+    # line: 0xC3 0xA9 is two bytes, not one e-acute, and 0xFF is 255
+    code, out, _ = run_cli(capsys, "filter", "--lenient", non_ascii_input)
+    payload = json.loads(out)
+    assert code == 0 and payload["counts"]["generated"] == 2
+    message = "byte {} outside the printable range 63..126 (byte offset {})"
+    assert payload["errors"] == [
+        {"line": 2, "message": message.format(195, 0)},
+        {"line": 4, "message": message.format(133, 1)},
+        {"line": 5, "message": message.format(160, 2)},
+        {"line": 6, "message": message.format(255, 0)},
+    ]
+
+
+def test_filter_strict_names_the_line_and_byte(capsys, non_ascii_input):
+    code, out, err = run_cli(capsys, "filter", non_ascii_input)
+    assert code == 2 and out == ""
+    assert "line 2: byte 195 outside the printable range" in err
+
+
+def test_graph_input_refuses_non_ascii_bytes(capsys, monkeypatch, tmp_path):
+    data = K33_LINE.encode() + b"\xa0\n"
+    path = tmp_path / "k33.g6"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "xi", str(path))
+    assert code == 2 and out == "" and "line 1: byte 160 is not ASCII" in err
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+    assert run_cli(capsys, "xi", "-") == (code, out, err)
+
+
+def test_construct_refusals_exit_two(capsys, k33_file):
+    # join needs two graph6 lines; --max-edges must be an integer
+    code, _, err = run_cli(capsys, "construct", "join", k33_file)
+    assert code == 2 and "expected 2 graph6 line(s), found 1" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--order", "3", "--max-edges", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
@@ -284,8 +344,6 @@ def test_bad_graph6_input_exits_two(capsys, tmp_path):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(K33_LINE + "\n"))
     code, out, _ = run_cli(capsys, "line-xi", "-")
     assert code == 0 and json.loads(out) == {"value": 2}

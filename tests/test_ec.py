@@ -9,7 +9,6 @@ from ecgraphs.ec import (
     EcVerdict,
     _ec_split_search,
     _verdict,
-    automorphism_orbit_reps,
     is_n_ec,
     is_n_line_ec,
     line_adjacency,
@@ -395,8 +394,8 @@ def test_twin_pair_at_the_end_is_the_first_failure():
 
 
 def test_twins_are_not_sought_when_the_first_prefix_fails(monkeypatch, rng):
-    # most small graphs fail at the first prefix, and finding twins would
-    # cost them more than the whole check
+    # most small graphs fail at a prefix led by item 0 (at level 2 the first
+    # prefix), and finding twins would cost them more than the whole check
     found = []
     real = ec.graph_twin_classes
 
@@ -417,7 +416,7 @@ def test_twins_are_not_sought_when_the_first_prefix_fails(monkeypatch, rng):
                 failure = _ec_split_search(adjacency, count, level)
                 found.clear()
                 decide(g, level)
-                if failure is not None and failure[:level - 1] == tuple(range(level - 1)):
+                if failure is not None and failure[0] == 0:  # a 0-led prefix fails
                     assert not found, (g.adj, level)
                     first_fails += 1
                 else:
@@ -460,6 +459,24 @@ def twin_free_symmetric_graphs(rng):
     return cases
 
 
+def off_orbit_failures(rng, count: int) -> list[Graph]:
+    """Twin-free graphs that are not vertex-transitive and whose first failing
+    3-subset avoids vertex 0: paley(q) for q = 29, 37 and 41 (3-e.c.)
+    without vertex 0 and one more, relabelled at random until every 3-subset
+    holding the new vertex 0 passes.  The few failing subsets these graphs
+    have then avoid the whole orbit of vertex 0, and only there can a search
+    that passed its 0-led prefixes fail."""
+    out = []
+    while len(out) < count:
+        p = paley(rng.choice((29, 37, 41)))
+        g = p.induced([v for v in range(p.n) if v not in (0, rng.randrange(1, p.n))])
+        h = g.permuted(random_permutation(rng, g.n))
+        failure = _ec_split_search(h.adj, h.n, 3)
+        if failure is not None and failure[0] != 0:
+            out.append(h)
+    return out
+
+
 def assert_matches_unreduced(g: Graph, levels) -> None:
     edges = g.edges()
     line = line_adjacency(edges, g.n)
@@ -472,6 +489,11 @@ def assert_matches_unreduced(g: Graph, levels) -> None:
     assert xi_line(g) == unreduced_closure_number(line), g.adj
 
 
+def full_group_reps(g: Graph, edges=None) -> list[int]:
+    """The representatives the level-3 source of a decider on g returns."""
+    return ec._graph_reps(g, edges)(3)
+
+
 def test_automorphism_orbit_reps_match_group_closure(rng):
     # every graph with n <= 6 in three labellings, over vertices and over
     # edges: the least item of each orbit of the group the generators generate
@@ -481,12 +503,12 @@ def test_automorphism_orbit_reps_match_group_closure(rng):
             classes += 1
             for h in (g, g.permuted(random_permutation(rng, n)), g.permuted(random_permutation(rng, n))):
                 _, gens = canon.canonical_search(h.n, h.adj)
-                for items in ([(v,) for v in range(n)], h.edges()):
-                    assert automorphism_orbit_reps(h, items) == brute_orbit_reps(n, gens, items), (h.adj, items)
+                assert full_group_reps(h) == brute_orbit_reps(n, gens, [(v,) for v in range(n)]), h.adj
+                assert full_group_reps(h, h.edges()) == brute_orbit_reps(n, gens, h.edges()), h.adj
     assert classes == 1 + 2 + 4 + 11 + 34 + 156
-    assert automorphism_orbit_reps(paley(61), [(v,) for v in range(61)]) == [0]
-    assert automorphism_orbit_reps(PETERSEN, PETERSEN.edges()) == [0]
-    assert automorphism_orbit_reps(path_graph(5), path_graph(5).edges()) == [0, 1]
+    assert full_group_reps(paley(61)) == [0]
+    assert full_group_reps(PETERSEN, PETERSEN.edges()) == [0]
+    assert full_group_reps(path_graph(5), path_graph(5).edges()) == [0, 1]
 
 
 def test_automorphism_reduction_matches_unreduced_search(rng, reduced_outcomes):
@@ -503,6 +525,11 @@ def test_automorphism_reduction_matches_unreduced_search(rng, reduced_outcomes):
     for i in range(300):
         g, levels = rng.choice(cases if i % 6 else passing)
         assert_matches_unreduced(g.permuted(random_permutation(rng, g.n)), levels)
+    # a search that passed its 0-led prefixes fails only on a subset that
+    # avoids the orbit of vertex 0, so failures need graphs with such subsets
+    for g in off_orbit_failures(rng, 40):
+        assert len(set(graph_twin_classes(g.adj))) == g.n
+        assert_matches_unreduced(g, (3, 4))
     assert reduced_outcomes["automorphism", True] >= 50, reduced_outcomes
     assert reduced_outcomes["automorphism", False] >= 50, reduced_outcomes
 
@@ -525,6 +552,34 @@ def test_paley_61_level_three_checks_only_the_prefixes_led_by_vertex_0(monkeypat
     checked.clear()
     assert _ec_split_search(g.adj, g.n, 3) is None
     assert len(checked) == 1770
+
+
+def test_paley_61_checks_the_prefixes_led_by_vertex_0_before_asking_for_the_group(monkeypatch):
+    # every search checks the prefixes led by item 0, so they go first and
+    # the group is asked for only when they all pass: at level 4 paley(61)
+    # fails at one of them, and no canonical search runs
+    calls = []
+    real_first, real_canon = ec._first_failure, ec.canonical_search
+
+    def first(adjacency, count, prefixes):
+        prefixes = list(prefixes)
+        calls.append(("prefixes", prefixes[:1], len(prefixes)))
+        return real_first(adjacency, count, prefixes)
+
+    def canonical(n, adj):
+        calls.append(("canonical_search",))
+        return real_canon(n, adj)
+
+    monkeypatch.setattr(ec, "_first_failure", first)
+    monkeypatch.setattr(ec, "canonical_search", canonical)
+    g = paley(61)
+    v = is_n_ec(g, 4)
+    assert calls == [("prefixes", [(0, 1, 2)], 59 * 58 // 2)]
+    assert (v.certificate_a, v.certificate_b) == ((0,), (1, 3, 14))
+    assert v == unreduced_verdict(g.adj, range(g.n), 4)
+    calls.clear()
+    assert is_n_ec(g, 3).holds
+    assert calls == [("prefixes", [(0, 1)], 59), ("canonical_search",), ("prefixes", [], 0)]
 
 
 @pytest.fixture
@@ -560,8 +615,8 @@ def test_canonical_search_stays_off_the_level_two_path(canon_calls, rng):
 
 def test_canonical_search_runs_at_most_once_per_decider_call(canon_calls, rng):
     # a closure number reuses the group across levels 3 and up, and no
-    # decider looks for it when the first prefix fails
-    graphs = [g for g, _ in twin_free_symmetric_graphs(rng)]
+    # decider looks for it when a prefix led by item 0 fails
+    graphs = [g for g, _ in twin_free_symmetric_graphs(rng)] + off_orbit_failures(rng, 6)
     graphs += [random_graph(rng, rng.randrange(3, 12), rng.choice([0.3, 0.5, 0.7])) for _ in range(300)]
     first_fails = asked = 0
     for g in graphs:
@@ -580,7 +635,7 @@ def test_canonical_search_runs_at_most_once_per_decider_call(canon_calls, rng):
                 failure = _ec_split_search(adjacency, count, level)
                 decide(g, level)
                 assert len(canon_calls) <= 1, (g.adj, level)
-                if failure is not None and failure[:level - 1] == tuple(range(level - 1)):
+                if failure is not None and failure[0] == 0:  # a 0-led prefix fails
                     assert not canon_calls, (g.adj, level)
                     first_fails += 1
     assert first_fails >= 500 and asked >= 10, (first_fails, asked)

@@ -127,3 +127,13 @@ def test_order_bounds_checked_before_factoring(monkeypatch):
         FiniteField(5000)
     with pytest.raises(GraphError):
         paley(81)
+
+
+def test_negative_exponent_inverts():
+    f = FiniteField(9)
+    for a in range(1, 9):
+        assert f.power(a, -1) == f.inverse(a)
+        assert f.power(a, -3) == f.inverse(f.power(a, 3))
+        assert f.mul(f.power(a, -2), f.power(a, 2)) == 1
+    with pytest.raises(FieldError, match="zero has no multiplicative inverse"):
+        f.power(0, -1)

@@ -78,3 +78,11 @@ def test_vertex_limit_enforced():
         parse_graph6("?")  # n = 0 unsupported by the Graph type
     with pytest.raises(Graph6Error):
         parse_graph6("")
+
+
+def test_long_size_field_refusals():
+    with pytest.raises(Graph6Error, match="truncated long size field"):
+        parse_graph6("~??")
+    with pytest.raises(Graph6Error, match="beyond 18 bits") as exc:
+        parse_graph6("~~??????")
+    assert exc.value.offset == 1

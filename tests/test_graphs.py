@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from ecgraphs.canon import is_isomorphic
+from ecgraphs.catalog import named_graph
 from ecgraphs.ec import line_graph
 from ecgraphs.graphs import (
     Graph,
@@ -201,3 +202,20 @@ def test_diameter_oracle(rng):
     for _ in range(100):
         g = random_graph(rng, rng.randrange(1, 10), rng.choice([0.2, 0.5, 0.8]))
         assert diameter(g) == _floyd_warshall_diameter(g)
+
+
+def test_input_refusals():
+    with pytest.raises(GraphError, match="row count does not match"):
+        Graph(3, (0, 0))
+    with pytest.raises(GraphError, match="row 0 references vertices >= 2"):
+        Graph(2, (0b100, 0))
+    with pytest.raises(GraphError, match="loop at vertex 1"):
+        Graph.from_edges(3, [(0, 1), (1, 1)])
+    with pytest.raises(GraphError, match="family 'cycle' takes 1 parameter"):
+        standard_family("cycle", [3, 4])
+    with pytest.raises(GraphError, match="family 'complete_bipartite' takes 2 parameter"):
+        standard_family("complete_bipartite", [3])
+    assert standard_family("complete_bipartite", [2, 3]).adj == complete_bipartite(2, 3).adj
+    with pytest.raises(ValueError, match="unknown catalog graph 'Tc99'"):
+        named_graph("Tc99")
+    assert not contains_induced(path_graph(3), empty_graph(4))  # pattern larger than the host

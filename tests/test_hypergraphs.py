@@ -384,3 +384,26 @@ def test_hypergraph_twins_are_not_sought_when_the_first_prefix_fails(monkeypatch
         assert not is_n_line_ec_hyper(h, level).holds
     with pytest.raises(AssertionError, match="twins sought"):
         is_n_line_ec_hyper(crossing_hypergraph(5, 5, 3), 2)
+
+
+def test_input_refusals():
+    for n in (0, 65):
+        with pytest.raises(HypergraphError, match="vertex count must be 1..64"):
+            Hypergraph(n, ())
+    with pytest.raises(HypergraphError, match="sorted by bitmask"):
+        Hypergraph(3, (0b110, 0b011))
+    with pytest.raises(HypergraphError, match="vertex 3 out of range for n=3"):
+        Hypergraph.from_vertex_sets(3, [[0, 3]])
+    for text, message in (("", "empty hypergraph text"), (" \n\n", "empty hypergraph text"),
+                          ("3 x\n", "non-numeric header"), ("3 1\n0 y\n", "non-numeric edge line")):
+        with pytest.raises(HypergraphError, match=message):
+            parse_hypergraph(text)
+    with pytest.raises(HypergraphError, match="edgeless"):
+        line_graph_of_hypergraph(Hypergraph(3, ()))
+    all_pairs = Hypergraph.from_vertex_sets(12, combinations(range(12), 2))
+    with pytest.raises(HypergraphError, match="66 > 64"):
+        line_graph_of_hypergraph(all_pairs)
+    with pytest.raises(GraphError, match="66 > 64"):
+        star_dual(complete_graph(12))
+    with pytest.raises(HypergraphError, match="70 vertices exceeds the 64-vertex limit"):
+        crossing_hypergraph(40, 30, 2)

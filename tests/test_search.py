@@ -334,6 +334,8 @@ def test_filter_stream_dedups_relabelings(rng):
 def test_filter_stream_strict_errors_name_line():
     with pytest.raises(ValueError, match="line 2"):
         filter_stream(["C~", "C\x07~"], SearchConstraints())
+    with pytest.raises(ValueError, match="line 2: blank line"):
+        filter_stream(["C~", "  ", "C~"], SearchConstraints())
 
 
 def test_filter_stream_lenient_records_and_continues():
