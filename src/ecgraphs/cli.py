@@ -17,7 +17,7 @@ from typing import Sequence
 from .canon import canonical_form
 from .constructions import cone, join, join_independent, paley
 from .ec import is_n_ec, is_n_line_ec, line_graph, xi, xi_line
-from .graph6 import parse_graph6, write_graph6
+from .graph6 import SPACE, parse_graph6, write_graph6
 from .graphs import Graph, complete_multipartite, standard_family
 from .hypergraphs import (
     Hypergraph,
@@ -60,7 +60,9 @@ def _read_text(path: str) -> str:
 
 
 def _read_graphs(path: str, count: int) -> list[Graph]:
-    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
+    # "\n" only: str.splitlines would also end a line at a form feed and
+    # other control bytes, so a bad byte could cut a graph6 line short
+    lines = [s for s in (ln.strip(SPACE) for ln in _read_text(path).split("\n")) if s]
     if len(lines) < count:
         raise CliError(f"expected {count} graph6 line(s), found {len(lines)}")
     try:
@@ -163,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("first")
     h.add_argument("second")
     h = hsub.add_parser("check")
+    h.set_defaults(mode="hyper")  # the same handler as check --mode hyper
     h.add_argument("--n", type=int, required=True)
     h.add_argument("input", nargs="?", default="-")
 
@@ -230,10 +233,7 @@ def _cmd_hyper(args: argparse.Namespace) -> int:
         h2 = _read_hypergraph(args.second)
         print(format_hypergraph(cross_join_hypergraphs(h1, h2, args.k)), end="")
     else:
-        h = _read_hypergraph(args.input)
-        verdict = is_n_line_ec_hyper(h, args.n)
-        _emit(verdict.to_json())
-        return 0 if verdict.holds else 1
+        return _cmd_check(args)
     return 0
 
 

@@ -14,6 +14,7 @@ from math import comb
 from typing import Iterable
 
 from .ec import EcVerdict, _ec_split_search, _verdict, line_adjacency, twin_orbit_reps, vertex_stars
+from .graph6 import SPACE
 from .graphs import Graph, GraphError, MAX_VERTICES, bits
 
 # crossing_hypergraph walks every k-subset of its vertices, so it refuses more
@@ -79,7 +80,7 @@ def format_hypergraph(h: Hypergraph) -> str:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    lines = [ln for ln in (raw.strip(SPACE) for raw in text.split("\n")) if ln]  # physical lines only
     if not lines:
         raise HypergraphError("empty hypergraph text")
     head = lines[0].split()

@@ -343,6 +343,25 @@ def test_bad_graph6_input_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_reads_split_only_physical_lines(capsys, tmp_path):
+    # a form feed ends no line: the graph6 line is refused whole, as filter
+    # refuses it, and not read as K2 ("A_") with the rest dropped
+    path = tmp_path / "ff.g6"
+    path.write_bytes(b"A_\x0cBw\n")
+    for command in ("xi", "filter"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2 and out == "" and "byte 12 outside the printable range" in err
+    path.write_bytes(K33_LINE.encode() + b"\r\n")
+    code, out, _ = run_cli(capsys, "xi", str(path))
+    assert code == 0 and json.loads(out) == {"value": 1}
+    # inside a hypergraph edge line it separates vertices, like a space
+    path = tmp_path / "ff.txt"
+    path.write_bytes(b"3 1\r\n0 1\x0c2\n")
+    for argv in (("hyper", "check"), ("check", "--mode", "hyper")):
+        code, out, _ = run_cli(capsys, *argv, "--n", "1", str(path))
+        assert code == 1 and json.loads(out)["certificate"] == {"A": [], "B": [[0, 1, 2]]}
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(K33_LINE + "\n"))
     code, out, _ = run_cli(capsys, "line-xi", "-")

@@ -2,7 +2,9 @@
 
 The oracle searches directly for a subdivision of K5 or K33: choose branch
 vertices (degree-pruned), then pack internally disjoint paths for every
-pattern edge by backtracking.  Exact and affordable for n <= 7.
+pattern edge by backtracking.  Exact and affordable for n <= 7.  Past that,
+families that are planar or nonplanar by construction reach 64 vertices,
+each graph with 9 <= m <= 3n - 6 edges so that no shortcut decides it.
 """
 
 import math
@@ -22,7 +24,7 @@ from ecgraphs.graphs import (
 from ecgraphs.planarity import is_planar
 from ecgraphs.search import enumerate_connected
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_permutation
 
 
 def _pack_paths(g: Graph, pairs, branch: set[int]) -> bool:
@@ -182,3 +184,82 @@ def test_disconnected_inputs():
     assert not is_planar(two_k5)
     sparse = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
     assert not is_connected(sparse) and is_planar(sparse)
+
+
+def _relabelled(rng, n: int, edges) -> Graph:
+    perm = random_permutation(rng, n)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _thinned_stacked_triangulation(rng, n: int) -> list[tuple[int, int]]:
+    """A maximal planar graph grown by putting each new vertex in a random
+    face, then up to n random edges deleted (keeping 9 of them)."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    faces = [(0, 1, 2), (0, 1, 2)]  # the two sides of the triangle
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    rng.shuffle(edges)
+    return edges[: max(9, len(edges) - rng.randrange(n + 1))]
+
+
+def _grid_with_diagonals(rng, rows: int, cols: int) -> list[tuple[int, int]]:
+    """A rows x cols grid with one diagonal, either way, in each square."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+            if c + 1 < cols and r + 1 < rows:
+                edges.append((v, v + cols + 1) if rng.random() < 0.5 else (v + 1, v + cols))
+    return edges
+
+
+def _kuratowski_with_tree(rng, n: int) -> list[tuple[int, int]]:
+    """A subdivided K5 or K3,3 joined to a random tree on the other vertices,
+    plus random chords while the Euler bound 3n - 6 still holds."""
+    base = list(combinations(range(5), 2)) if rng.random() < 0.5 else [(a, b) for a in range(3) for b in range(3, 6)]
+    k = 1 + max(max(e) for e in base)
+    edges = []
+    for u, v in base:
+        while k < n and rng.random() < 0.3:  # subdivide the pattern edge
+            edges.append((u, k))
+            u, k = k, k + 1
+        edges.append((u, v))
+    edges += [(v, rng.randrange(v)) for v in range(k, n)]
+    present = {frozenset(e) for e in edges}
+    for _ in range(rng.randrange(2 * n)):
+        u, v = rng.sample(range(n), 2)
+        if len(present) < 3 * n - 6 and frozenset((u, v)) not in present:
+            present.add(frozenset((u, v)))
+            edges.append((u, v))
+    return edges
+
+
+def _assert_past_shortcuts(g: Graph) -> None:
+    assert g.n >= 5 and 9 <= g.edge_count() <= 3 * g.n - 6
+
+
+def test_planar_families_to_64_vertices(rng):
+    cases = [_relabelled(rng, n, _thinned_stacked_triangulation(rng, n)) for n in range(6, 65)]
+    for rows in range(2, 9):
+        for cols in range(max(3, rows), 64 // rows + 1):
+            cases.append(_relabelled(rng, rows * cols, _grid_with_diagonals(rng, rows, cols)))
+    for n in (7, 12, 33, 64):
+        rim = [(i, (i + 1) % (n - 1)) for i in range(n - 1)]
+        cases.append(_relabelled(rng, n, rim + [(i, n - 1) for i in range(n - 1)]))  # the wheel W_n
+        cases.append(complete_bipartite(2, n - 2))
+    for g in cases:
+        _assert_past_shortcuts(g)
+        assert is_planar(g), g.edges()
+
+
+def test_nonplanar_families_to_64_vertices(rng):
+    for n in list(range(6, 65)) * 3:
+        g = _relabelled(rng, n, _kuratowski_with_tree(rng, n))
+        _assert_past_shortcuts(g)
+        assert not is_planar(g), g.edges()

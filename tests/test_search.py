@@ -33,7 +33,7 @@ from conftest import (
 # published census: connected graphs and all graphs up to isomorphism
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 ALL_COUNTS = [1, 2, 4, 11, 34, 156]
-PLANAR_CONNECTED_COUNTS = [1, 1, 2, 6, 20, 99, 646]  # OEIS A003094
+PLANAR_CONNECTED_COUNTS = [1, 1, 2, 6, 20, 99, 646, 5974]  # OEIS A003094
 
 
 def test_connected_counts():
@@ -289,15 +289,17 @@ def test_pruning_soundness_edge_bound():
 
 def test_planar_first_chain_prunes_without_losing_survivors():
     # a chain that starts with planar prunes nonplanar intermediate graphs;
-    # "connected" first (always true here) turns pruning off
-    for n in range(1, 8):
+    # "connected" first (always true here) turns pruning off, so the second
+    # walk tests planarity on every connected graph: 5,974 of 11,117 at order 8
+    for n, planar_count in enumerate(PLANAR_CONNECTED_COUNTS, start=1):
         runs = []
         for preds in (("planar",), ("connected", "planar")):
             cons = SearchConstraints(predicates=preds)
             counters = search.new_counters(cons)
             runs.append(([canonical_form(g) for g in search._walk(n, n, cons, counters)], counters))
         (pruned, pc), (full, fc) = runs
-        assert pruned == full and len(pruned) == PLANAR_CONNECTED_COUNTS[n - 1]
+        assert pruned == full and len(pruned) == planar_count
+        assert fc["generated"] == CONNECTED_COUNTS[n - 1]
         # K5 is the first nonplanar graph, and Euler's bound keeps it from being generated
         assert (pc["generated"] < fc["generated"]) == (n >= 5)
 
