@@ -17,7 +17,7 @@ from typing import Sequence
 from .canon import canonical_form
 from .constructions import cone, join, join_independent, paley
 from .ec import is_n_ec, is_n_line_ec, line_graph, xi, xi_line
-from .graph6 import SPACE, parse_graph6, write_graph6
+from .graph6 import Graph6Error, numbered_lines, parse_graph6, write_graph6
 from .graphs import Graph, complete_multipartite, standard_family
 from .hypergraphs import (
     Hypergraph,
@@ -32,43 +32,33 @@ from .planarity import is_planar
 from .search import NAMED_SEARCHES, SearchConstraints, enumerate_connected, filter_stream, run_named_search
 
 
-class CliError(Exception):
-    """Input or usage problem; maps to exit status 2."""
-
-
 def _open_text(path: str):
-    """A path or stdin, decoded byte for byte (latin-1), so both routes give
-    each byte its own character and the parsers name a bad byte by value."""
+    """A path or stdin, decoded byte for byte (latin-1) and split at "\\n" only:
+    both routes give the same lines, and the parsers name a bad byte by value."""
     if path == "-":
         if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(encoding="latin-1")
+            sys.stdin.reconfigure(encoding="latin-1", newline="\n")
         return contextlib.nullcontext(sys.stdin)
     try:
-        return open(path, "r", encoding="latin-1")
+        return open(path, "r", encoding="latin-1", newline="\n")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_text(path: str) -> str:
-    with _open_text(path) as fh:
-        text = fh.read()
-    if not text.isascii():  # graph6 and the hypergraph format are ASCII
-        pos = next(i for i, ch in enumerate(text) if ord(ch) > 127)
-        line = text.count("\n", 0, pos) + 1
-        raise CliError(f"line {line}: byte {ord(text[pos])} is not ASCII")
-    return text
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_graphs(path: str, count: int) -> list[Graph]:
-    # "\n" only: str.splitlines would also end a line at a form feed and
-    # other control bytes, so a bad byte could cut a graph6 line short
-    lines = [s for s in (ln.strip(SPACE) for ln in _read_text(path).split("\n")) if s]
-    if len(lines) < count:
-        raise CliError(f"expected {count} graph6 line(s), found {len(lines)}")
-    try:
-        return [parse_graph6(ln) for ln in lines[:count]]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    """The first ``count`` graph6 lines, blank lines skipped; reading stops there."""
+    graphs = []
+    with _open_text(path) as fh:
+        for lineno, line in numbered_lines(fh):
+            if not line:
+                continue
+            try:
+                graphs.append(parse_graph6(line))
+            except Graph6Error as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            if len(graphs) == count:
+                return graphs
+    raise ValueError(f"expected {count} graph6 line(s), found {len(graphs)}")
 
 
 def _read_graph(path: str) -> Graph:
@@ -76,10 +66,8 @@ def _read_graph(path: str) -> Graph:
 
 
 def _read_hypergraph(path: str) -> Hypergraph:
-    try:
-        return parse_hypergraph(_read_text(path))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    with _open_text(path) as fh:
+        return parse_hypergraph(fh.read())  # the "n m" header counts every edge line
 
 
 def _emit(obj: dict) -> None:
@@ -287,13 +275,13 @@ def run(argv: Sequence[str] | None = None) -> int:
             report = filter_stream(fh, cons, lenient=args.lenient)  # one line at a time
         _report_out(report, args.format)
         return 0
-    raise CliError(f"unknown command {cmd!r}")  # unreachable
+    raise ValueError(f"unknown command {cmd!r}")  # unreachable
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         return run(argv)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:  # every usage or input error
         print(f"ecgraphs: error: {exc}", file=sys.stderr)
         return 2
 

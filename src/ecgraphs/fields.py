@@ -138,7 +138,7 @@ class FiniteField:
         self._check(a)
         if e < 0:
             return self.power(self.inverse(a), -e)
-        result = 1 if self.k > 1 else 1 % self.p
+        result = 1
         base = a
         while e:
             if e & 1:

@@ -9,7 +9,7 @@ field: one byte 63+n for n <= 62, or the 4-byte long form (126 then three
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import MAX_VERTICES, Graph
 
@@ -23,6 +23,13 @@ class Graph6Error(ValueError):
     def __init__(self, message: str, offset: int):
         self.offset = offset
         super().__init__(f"{message} (byte offset {offset})")
+
+
+def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Each line of a text input with its number from 1, stripped of SPACE.
+    Lines end at "\\n" only (``newline="\\n"`` or ``text.split("\\n")``): a form
+    feed or other control byte inside a line is left for the parser to name."""
+    return enumerate((raw.strip(SPACE) for raw in lines), start=1)
 
 
 def parse_graph6(text: str) -> Graph:

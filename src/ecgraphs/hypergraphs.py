@@ -14,8 +14,10 @@ from math import comb
 from typing import Iterable
 
 from .ec import EcVerdict, _ec_split_search, _verdict, line_adjacency, twin_orbit_reps, vertex_stars
-from .graph6 import SPACE
+from .graph6 import SPACE, numbered_lines
 from .graphs import Graph, GraphError, MAX_VERTICES, bits
+
+_NUMERIC = frozenset("0123456789" + SPACE)  # every character a text-format line may hold
 
 # crossing_hypergraph walks every k-subset of its vertices, so it refuses more
 MAX_CROSSING_SUBSETS = 1 << 20
@@ -80,26 +82,35 @@ def format_hypergraph(h: Hypergraph) -> str:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    lines = [ln for ln in (raw.strip(SPACE) for raw in text.split("\n")) if ln]  # physical lines only
+    """The text format back into a hypergraph; every error names its line.
+    Tokens split at SPACE only and must be ASCII digits: no NBSP, 0x1c-0x1f,
+    "1_1", "+0" or other scripts' digits."""
+    lines = [(lineno, line) for lineno, line in numbered_lines(text.split("\n")) if line]
     if not lines:
         raise HypergraphError("empty hypergraph text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise HypergraphError("header must be 'n m'")
+    (lineno, head), *body = lines
     try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise HypergraphError(f"non-numeric header: {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise HypergraphError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edge_sets = []
-    for ln in lines[1:]:
-        try:
-            vs = [int(tok) for tok in ln.split()]
-        except ValueError as exc:
-            raise HypergraphError(f"non-numeric edge line: {ln!r}") from exc
-        edge_sets.append(vs)
-    return Hypergraph.from_vertex_sets(n, edge_sets)
+        if len(head.split()) != 2:
+            raise HypergraphError("header must be 'n m'")
+        n, m = _numbers(head, "header")
+        if len(body) != m:
+            raise HypergraphError(f"expected {m} edge lines, got {len(body)}")
+        Hypergraph(n, ())  # refuses a bad n on the header's line
+        edges: set[int] = set()
+        for lineno, line in body:
+            (mask,) = Hypergraph.from_vertex_sets(n, [_numbers(line, "edge line")]).edges
+            if mask in edges:
+                raise HypergraphError("duplicate hyperedge")
+            edges.add(mask)
+    except ValueError as exc:  # also int()'s refusal of over-long numbers
+        raise HypergraphError(f"line {lineno}: {exc}") from None
+    return Hypergraph(n, tuple(sorted(edges)))
+
+
+def _numbers(line: str, what: str) -> list[int]:
+    if not set(line) <= _NUMERIC:  # so str.split() splits at SPACE only
+        raise HypergraphError(f"non-numeric {what}: {line!r}")
+    return [int(tok) for tok in line.split()]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .canon import canonical_form, canonical_search, orbit_leaders, orbit_partition, refine_partition
 from .ec import is_n_ec, is_n_line_ec
-from .graph6 import SPACE, Graph6Error, parse_graph6
+from .graph6 import Graph6Error, numbered_lines, parse_graph6
 from .graphs import Graph, bits, is_connected, _reach
 from .planarity import is_planar, lr_planar_rows
 
@@ -325,8 +325,7 @@ def filter_stream(
     survivors: list[str] = []
     generated = 0
     max_seen = 0
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip(SPACE)
+    for lineno, text in numbered_lines(lines):
         try:
             if not text:
                 raise Graph6Error("blank line", 0)

@@ -219,6 +219,50 @@ def test_filter_streams_its_input(capsys, tmp_path):
     assert peaks[1] - peaks[0] < 200_000, peaks
 
 
+@pytest.mark.parametrize("command", [["xi"], ["construct", "join"]])
+def test_single_graph_commands_stream_their_input(capsys, tmp_path, command):
+    # a command that needs one or two graphs reads only those lines
+    peaks = []
+    for copies in (2_000, 20_000):
+        stream = tmp_path / f"copies{copies}.g6"
+        stream.write_text((K33_LINE + "\n") * copies)
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, *command, str(stream))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] - peaks[0] < 200_000, peaks
+
+
+def test_graph_input_errors_name_the_line(capsys, tmp_path):
+    # the same wording as filter's, whichever line holds the fault
+    path = tmp_path / "in.g6"
+    path.write_text(K33_LINE + "\nA\x0c_\n")
+    code, out, err = run_cli(capsys, "construct", "join", str(path))
+    assert code == 2 and out == "" and "line 2: byte 12 outside the printable range" in err
+    path.write_text("A_\x0cBw\n")
+    code, out, err = run_cli(capsys, "xi", str(path))
+    assert code == 2 and out == "" and "line 1: byte 12 outside the printable range" in err
+    assert run_cli(capsys, "filter", str(path)) == (code, out, err)
+    path.write_text(K33_LINE + "\n%%\n\xa0\n")  # faults only after the line xi reads
+    assert run_cli(capsys, "xi", str(path))[0] == 0
+
+
+def test_lines_end_at_newline_only_on_both_routes(capsys, monkeypatch, tmp_path):
+    # a lone carriage return does not end a line, through a path or stdin
+    data = b"Bw\rBw\n"
+    path = tmp_path / "in.g6"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    for source in (str(path), "-"):
+        code, out, _ = run_cli(capsys, "filter", "--lenient", source)
+        assert code == 0 and json.loads(out)["errors"] == [
+            {"line": 1, "message": "byte 13 outside the printable range 63..126 (byte offset 2)"}
+        ]
+
+
 def test_filter_lenient(capsys, tmp_path):
     stream = tmp_path / "in.g6"
     stream.write_text("C~\n\x01junk\n")
@@ -278,7 +322,7 @@ def test_graph_input_refuses_non_ascii_bytes(capsys, monkeypatch, tmp_path):
     path = tmp_path / "k33.g6"
     path.write_bytes(data)
     code, out, err = run_cli(capsys, "xi", str(path))
-    assert code == 2 and out == "" and "line 1: byte 160 is not ASCII" in err
+    assert code == 2 and out == "" and "line 1: byte 160 outside the printable range" in err
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
     assert run_cli(capsys, "xi", "-") == (code, out, err)
 

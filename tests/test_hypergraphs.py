@@ -69,6 +69,16 @@ def test_text_format_roundtrip():
         parse_hypergraph("nonsense")
 
 
+def test_text_format_tokens_are_ascii_digits_split_at_space():
+    # str.split() and int() would read each of these as an edge
+    for text, lineno in (("3 1\n0\x1c1\x1f2\n", 2), ("1_1 1\n0\n", 1), ("2 1\n+0\n", 2),
+                         ("2 1\n\u0660\n", 2), ("3 1\n0\xa01\n", 2)):
+        with pytest.raises(HypergraphError, match=f"^line {lineno}: non-numeric"):
+            parse_hypergraph(text)
+    assert parse_hypergraph("3 1\n0 1\x0c2\n").edges == (0b111,)
+    assert parse_hypergraph("3 2\r\n0\t1\r\n1 2\r\n") == Hypergraph.from_vertex_sets(3, [[0, 1], [1, 2]])
+
+
 # -- line graphs -----------------------------------------------------------------
 
 
@@ -395,7 +405,9 @@ def test_input_refusals():
     with pytest.raises(HypergraphError, match="vertex 3 out of range for n=3"):
         Hypergraph.from_vertex_sets(3, [[0, 3]])
     for text, message in (("", "empty hypergraph text"), (" \n\n", "empty hypergraph text"),
-                          ("3 x\n", "non-numeric header"), ("3 1\n0 y\n", "non-numeric edge line")):
+                          ("3 x\n", "^line 1: non-numeric header"), ("3 1\n0 y\n", "^line 2: non-numeric edge line"),
+                          ("\n3 2\n0 1\n\n1 0\n", "^line 5: duplicate hyperedge"),
+                          ("0 0\n", "^line 1: vertex count must be 1..64")):
         with pytest.raises(HypergraphError, match=message):
             parse_hypergraph(text)
     with pytest.raises(HypergraphError, match="edgeless"):
