@@ -175,6 +175,29 @@ def canonical_form(g: Graph) -> str:
     return encode_graph6(g.n, permute_rows(g.adj, perm))
 
 
+def degree_triangle_invariant(g: Graph) -> tuple:
+    """A cheap isomorphism invariant: n and the sorted multiset of each
+    vertex's (degree, sum of its neighbours' degrees, triangles through it).
+
+    Each triple is defined from the edge set alone, without reference to
+    vertex labels, so an isomorphism carries every vertex to one with the
+    same triple and the sorted multiset is unchanged.  Equal invariants do
+    not imply isomorphism: the cube Q3 and the Wagner graph share one.
+    """
+    adj = g.adj
+    deg = [row.bit_count() for row in adj]
+    triples = []
+    for v, row in enumerate(adj):
+        nsum = paired = 0
+        for u in bits(row):
+            nsum += deg[u]
+            paired += (adj[u] & row).bit_count()
+        # each triangle through v is seen once from each of its two other ends
+        triples.append((deg[v], nsum, paired >> 1))
+    triples.sort()
+    return g.n, tuple(triples)
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False

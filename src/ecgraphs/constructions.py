@@ -35,20 +35,13 @@ def paley(q: int) -> Graph:
 
     Vertices are field elements (integer encoding); u ~ v iff u - v is a
     nonzero square.  The congruence makes -1 a square, so adjacency is
-    symmetric and the graph is (q-1)/2-regular.
+    symmetric and the graph is (q-1)/2-regular.  Row u is the translate
+    u + S of the set S of nonzero squares.
     """
     if q > MAX_VERTICES:
         raise GraphError(f"paley graph order {q} exceeds the {MAX_VERTICES}-vertex limit")
     field = FiniteField(q)  # validates the prime-power requirement
     if q % 4 != 1:
         raise GraphError(f"paley graph needs q = 1 (mod 4), got {q}")
-    squares = 0
-    for x in range(1, q):
-        squares |= 1 << field.mul(x, x)
-    rows = [0] * q
-    for u in range(q):
-        for v in range(u + 1, q):
-            if squares >> field.sub(u, v) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(q, tuple(rows))
+    squares = {field.mul(x, x) for x in range(1, q)}
+    return Graph(q, tuple(sum(1 << field.add(u, s) for s in squares) for u in range(q)))

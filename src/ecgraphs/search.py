@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .canon import canonical_form, canonical_search, orbit_leaders, orbit_partition, refine_partition
+from .canon import canonical_form, canonical_search, degree_triangle_invariant, orbit_leaders, orbit_partition, refine_partition
 from .ec import is_n_ec, is_n_line_ec
 from .graph6 import Graph6Error, numbered_lines, parse_graph6
 from .graphs import Graph, bits, is_connected, _reach
@@ -312,7 +312,14 @@ def filter_stream(
 ) -> SearchReport:
     """Filter externally generated graph6 lines through the constraint chain.
 
-    Input is deduplicated by canonical form before filtering.  Malformed lines
+    Input is deduplicated by canonical form before filtering, but lazily: a
+    line is labelled only when its cheap invariant
+    (``canon.degree_triangle_invariant``) matches an earlier line's, or when
+    it survives.  The first line with an invariant is kept as its text until
+    a second line shares the invariant; then both are labelled, the first at
+    most once, and equal canonical forms alone decide duplicates, so a
+    collision of invariants (or of their hashes) costs a label, never a
+    count.  Memory grows with the number of distinct graphs.  Malformed lines
     raise (with their line number) unless ``lenient`` is set, in which case
     they are recorded in the report and processing continues.
     """
@@ -321,7 +328,10 @@ def filter_stream(
     t0 = time.perf_counter()
     rejected: dict[str, int] = {}
     errors: list[dict] = []
-    seen: set[str] = set()
+    forms: set[str] = set()
+    # invariant hash -> text of the one unlabelled line with it, or None once
+    # every line with it has its form in ``forms``
+    pending: dict[int, str | None] = {}
     survivors: list[str] = []
     generated = 0
     max_seen = 0
@@ -337,12 +347,25 @@ def filter_stream(
             continue
         generated += 1
         max_seen = max(max_seen, g.n)
-        form = canonical_form(g)
-        if form in seen:
-            rejected["duplicate"] = rejected.get("duplicate", 0) + 1
-            continue
-        seen.add(form)
+        key = hash(degree_triangle_invariant(g))
+        form = None
+        if key not in pending:
+            pending[key] = text
+        else:
+            first = pending[key]
+            if first is not None:
+                forms.add(canonical_form(parse_graph6(first)))
+                pending[key] = None
+            form = canonical_form(g)
+            if form in forms:
+                rejected["duplicate"] = rejected.get("duplicate", 0) + 1
+                continue
+            forms.add(form)
         if _survives(g, chain, rejected):
+            if form is None:
+                form = canonical_form(g)
+                forms.add(form)
+                pending[key] = None
             survivors.append(form)
     survivors.sort()
     wall_ms = (time.perf_counter() - t0) * 1000.0

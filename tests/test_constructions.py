@@ -3,6 +3,7 @@ import pytest
 from ecgraphs.canon import canonical_form, is_isomorphic
 from ecgraphs.constructions import cone, join, join_independent, paley
 from ecgraphs.ec import xi, xi_line
+from ecgraphs.fields import FiniteField
 from ecgraphs.graphs import (
     GraphError,
     cartesian_product,
@@ -94,6 +95,14 @@ def test_paley_regular_and_self_complementary():
         g = paley(q)
         assert set(g.degrees()) == {(q - 1) // 2}
         assert is_isomorphic(g, complement(g))
+
+
+def test_paley_rows_match_the_definition():
+    # every q <= 64 with q = 1 (mod 4) that is a prime power
+    for q in (5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61):
+        f = FiniteField(q)
+        rows = tuple(sum(1 << v for v in range(q) if v != u and f.is_square(f.sub(u, v))) for u in range(q))
+        assert paley(q).adj == rows, q
 
 
 def test_paley_validation():

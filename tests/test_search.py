@@ -1,14 +1,16 @@
 import random
+import time
 
 import pytest
 
 from ecgraphs import search
-from ecgraphs.canon import canonical_form
+from ecgraphs.canon import canonical_form, degree_triangle_invariant
 from ecgraphs.catalog import planar_two_line_ec_graphs
 from ecgraphs.ec import is_n_ec
-from ecgraphs.graph6 import write_graph6
+from ecgraphs.graph6 import Graph6Error, numbered_lines, parse_graph6, write_graph6
 from ecgraphs.graphs import (
     Graph,
+    cartesian_product,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -27,6 +29,7 @@ from conftest import (
     brute_accepts,
     brute_neighborhoods,
     random_connected_graph,
+    random_graph,
     random_permutation,
 )
 
@@ -358,3 +361,112 @@ def test_filter_stream_structural_filters():
     assert rep.per_filter_rejected.get("connected") == 1  # the 2K2 input
     assert rep.per_filter_rejected.get("max_edges") == 1  # K4 has 6 edges
     assert len(rep.survivors) == 1  # P4
+
+
+def _labelling_every_line(lines, cons, lenient=False):
+    """Definitional filter: every line is labelled and a form seen before is a
+    duplicate; the report as ``filter_stream`` gives it, without its time."""
+    chain = search._structural_checks(cons) + search.predicate_functions(cons.predicates)
+    rejected, errors, seen, survivors = {}, [], set(), []
+    generated = max_seen = 0
+    for lineno, text in numbered_lines(lines):
+        try:
+            if not text:
+                raise Graph6Error("blank line", 0)
+            g = parse_graph6(text)
+        except Graph6Error as exc:
+            assert lenient, exc
+            errors.append({"line": lineno, "message": str(exc)})
+            continue
+        generated += 1
+        max_seen = max(max_seen, g.n)
+        form = canonical_form(g)
+        if form in seen:
+            rejected["duplicate"] = rejected.get("duplicate", 0) + 1
+        else:
+            seen.add(form)
+            if search._survives(g, chain, rejected):
+                survivors.append(form)
+    return {"max_order": max_seen, "counts": {"generated": generated, "per_filter_rejected": rejected},
+            "survivors": sorted(survivors), **({"errors": errors} if errors else {})}
+
+
+CUBE = cartesian_product(cartesian_product(complete_graph(2), complete_graph(2)), complete_graph(2))
+WAGNER = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+
+
+def _relabelled(rng, g):
+    return write_graph6(g.permuted(random_permutation(rng, g.n)))
+
+
+def test_filter_stream_lazy_dedup_matches_labelling_every_line(rng):
+    assert degree_triangle_invariant(CUBE) == degree_triangle_invariant(WAGNER)
+    assert canonical_form(CUBE) != canonical_form(WAGNER)
+    # a duplicate of the first member of an invariant bucket after the second
+    shared = [_relabelled(rng, CUBE), _relabelled(rng, WAGNER), _relabelled(rng, CUBE), _relabelled(rng, WAGNER)]
+    small = [write_graph6(g) for n in range(1, 8) for g in enumerate_connected(n)]
+    seeded = []
+    for _ in range(4):
+        graphs = [random_graph(rng, rng.randrange(1, 10), rng.choice([0.2, 0.5, 0.8])) for _ in range(60)]
+        graphs += [random_connected_graph(rng, rng.randrange(5, 11), 0.3) for _ in range(60)]
+        lines = [write_graph6(g) for g in graphs]
+        lines += [_relabelled(rng, rng.choice(graphs)) for _ in range(40)]
+        rng.shuffle(lines)
+        seeded.append(lines)
+    streams = [shared, shared[::-1], small, small[::-1]] + seeded
+    chains = [
+        SearchConstraints(),
+        SearchConstraints(require_connected=False),
+        SearchConstraints(max_edges=0),
+        SearchConstraints(final_min_degree=3, predicates=("planar", "two_line_ec")),
+    ]
+    for lines in streams:
+        for cons in chains:
+            got = filter_stream(lines, cons).to_json()
+            del got["wall_ms"], got["name"]
+            assert got == _labelling_every_line(lines, cons), (lines[:4], cons)
+    bad = ["\x01junk", ""] + shared + ["C\x07~"] + shared[:1]
+    for cons in chains:
+        got = filter_stream(bad, cons, lenient=True).to_json()
+        del got["wall_ms"], got["name"]
+        assert got == _labelling_every_line(bad, cons, lenient=True)
+    rep = filter_stream(shared, SearchConstraints(max_edges=0))
+    assert rep.per_filter_rejected == {"duplicate": 2, "max_edges": 2}
+
+
+def test_filter_stream_labels_no_line_with_a_new_invariant_that_fails(monkeypatch):
+    graphs = {}
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            graphs.setdefault(degree_triangle_invariant(g), g)
+    lines = [write_graph6(g) for g in graphs.values()]
+    calls = []
+    real = search.canonical_form
+
+    def spy(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(search, "canonical_form", spy)
+    # no graph on fewer than 9 vertices is 2-e.c.
+    rep = filter_stream(lines, SearchConstraints(predicates=("two_ec",)))
+    assert rep.generated == len(lines) > 100 and rep.survivors == []
+    assert "duplicate" not in rep.per_filter_rejected
+    assert not calls
+    # a repeated line is labelled, and so is the line it repeats
+    rep = filter_stream(lines + lines[-1:], SearchConstraints(predicates=("two_ec",)))
+    assert rep.per_filter_rejected["duplicate"] == 1 and len(calls) == 2
+
+
+def test_filter_stream_does_not_label_a_rejected_union_of_cycles():
+    # refinement cannot split 4 C5 + 4 C4 + 4 C3, and labelling it takes
+    # tens of seconds; the connected check rejects it first
+    rows: list[int] = []
+    for k in [5, 4, 3] * 4:
+        rows += [row << len(rows) for row in cycle_graph(k).adj]
+    union = write_graph6(Graph(len(rows), tuple(rows)))
+    t0 = time.perf_counter()
+    rep = filter_stream([union, "EFz_", "Bw"], SearchConstraints())
+    assert time.perf_counter() - t0 < 2.0
+    assert rep.per_filter_rejected == {"connected": 1}
+    assert rep.survivors == sorted([canonical_form(complete_bipartite(3, 3)), canonical_form(complete_graph(3))])
