@@ -16,13 +16,13 @@ e2 ending at a height greater than lowpt(e1) all lie in the other.
 
 ``lr_planar_rows`` checks the criterion as stated.  One DFS gives every
 outgoing edge the bitmask of back edges at or below it and the least height
-they reach.  Each pair of outgoing edges at a fork then yields parity
-constraints, solved by a union-find over nodes 2i (back edge i on the left)
-and 2i + 1 (back edge i on the right).  The graph is nonplanar as soon as
-both nodes of some back edge share a class.  Pairing the outgoing edges
-of a fork is quadratic in its degree, where the conflict-pair formulation
-of the same test is linear; under the 64-vertex cap a fork has at most 63
-outgoing edges.  Boolean answer only, no embedding or witness.  The Euler
+they reach.  Each pair of outgoing edges at a fork puts back edges A on one
+side and B on the other.  Side classes, disjoint bitmask pairs (left, right),
+collect these constraints: one starts from (A, B) and takes in every class
+meeting A | B, flipped unless its left meets A or its right meets B.  A
+class is a connected component of the constraint graph, so an edge lies in
+both left and right (nonplanar) exactly when a parity union-find over nodes
+2i (edge i left) and 2i + 1 (right) would join 2i and 2i + 1.  The Euler
 bound |E| <= 3|V| - 6 and a small-graph shortcut run first.
 
 Correctness is pinned by tests against a brute-force Kuratowski-subdivision
@@ -33,18 +33,7 @@ planar graphs on 8 vertices (5,974, OEIS A003094), and by families on up to
 
 from __future__ import annotations
 
-from .canon import _find
-from .graphs import Graph, bits
-
-
-def _agree(parent: list[int], x: int, y: int) -> bool:
-    """Put nodes x and y in one class (and so their mirrors x ^ 1, y ^ 1);
-    False iff that puts x and x ^ 1 together."""
-    for a, b in ((x, y), (x ^ 1, y ^ 1)):
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-    return _find(parent, x) != _find(parent, x ^ 1)
+from .graphs import Graph
 
 
 def lr_planar_rows(n: int, adj) -> bool:
@@ -59,46 +48,57 @@ def lr_planar_rows(n: int, adj) -> bool:
     forks: list[tuple[int, list[tuple[int, int]]]] = []
     count = 0
 
-    def dfs(v: int) -> tuple[int, int]:
+    def dfs(v: int, h: int) -> tuple[int, int]:
         """(back edges at or below the tree edge into v, the least height they reach)."""
         nonlocal count
-        h = height[v]
+        height[v] = h
         outs = []
-        for w in bits(adj[v]):
+        below, low = 0, h
+        row = adj[v]
+        while row:
+            w = (row & -row).bit_length() - 1
+            row &= row - 1
             if height[w] < 0:
-                height[w] = h + 1
-                outs.append(dfs(w))  # depth at most n <= 64
+                sub, lo = dfs(w, h + 1)  # depth at most n <= 64
             elif height[w] < h - 1:  # an ancestor other than the parent
-                ends[height[w]] |= 1 << count
-                outs.append((1 << count, height[w]))
+                sub, lo = 1 << count, height[w]
+                ends[lo] |= sub
                 count += 1
+            else:
+                continue
+            outs.append((sub, lo))
+            below |= sub
+            if lo < low:
+                low = lo
         if len(outs) > 1:
             forks.append((h, outs))
-        below, low = 0, h
-        for sub, lo in outs:
-            below |= sub
-            low = min(low, lo)
         return below, low
 
     for root in range(n):
         if height[root] < 0:
-            height[root] = 0
-            dfs(root)
+            dfs(root, 0)
     above = [0]  # above[h]: the back edges ending at a height less than h
     for row in ends:
         above.append(above[-1] | row)
-    parent = list(range(2 * count))
+    classes: list[tuple[int, int]] = []  # disjoint (left, right) side classes
     for h, outs in forks:
         # per outgoing edge with return edges: them, and every back edge ending deeper than its lowpt
         rets = [(sub & above[h], ~above[lo + 1]) for sub, lo in outs if sub & above[h]]
-        for i, (r1, deeper1) in enumerate(rets):
+        for i, (r1, deeper1) in enumerate(rets):  # quadratic in the fork's degree, at most 63
             for r2, deeper2 in rets[:i]:
-                a, b = r1 & deeper2, r2 & deeper1  # each on one side, a and b on opposite sides
-                if (a | b) & ((a | b) - 1):  # two or more edges: a constraint
-                    nodes = [2 * e for e in bits(a)] + [2 * e + 1 for e in bits(b)]
-                    for y in nodes[1:]:
-                        if not _agree(parent, nodes[0], y):
-                            return False
+                left, right = r1 & deeper2, r2 & deeper1  # each on one side, on opposite sides
+                if (left | right).bit_count() > 1:  # two or more edges: a constraint
+                    rest = []
+                    for cl, cr in classes:  # left | right grows only by classes disjoint from the rest
+                        if not (cl | cr) & (left | right):
+                            rest.append((cl, cr))
+                        elif cl & left or cr & right:
+                            left, right = left | cl, right | cr
+                        else:
+                            left, right = left | cr, right | cl
+                    if left & right:
+                        return False
+                    classes = rest + [(left, right)]
     return True
 
 

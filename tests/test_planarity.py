@@ -4,7 +4,9 @@ The oracle searches directly for a subdivision of K5 or K33: choose branch
 vertices (degree-pruned), then pack internally disjoint paths for every
 pattern edge by backtracking.  Exact and affordable for n <= 7.  Past that,
 families that are planar or nonplanar by construction reach 64 vertices,
-each graph with 9 <= m <= 3n - 6 edges so that no shortcut decides it.
+each graph with 9 <= m <= 3n - 6 edges so that no shortcut decides it, and
+near-planar graphs of either verdict are checked against a second solver of
+the same constraints, a parity union-find over two nodes per back edge.
 """
 
 import math
@@ -263,3 +265,69 @@ def test_nonplanar_families_to_64_vertices(rng):
         g = _relabelled(rng, n, _kuratowski_with_tree(rng, n))
         _assert_past_shortcuts(g)
         assert not is_planar(g), g.edges()
+
+
+def _parity_union_find_planar(g: Graph) -> bool:
+    """The left-right criterion with its constraints solved by a union-find
+    over nodes 2i (back edge i on the left) and 2i + 1 (on the right),
+    nonplanar once both nodes of one back edge share a class."""
+    height, ends, forks = [-1] * g.n, [0] * g.n, []
+    count = 0
+
+    def dfs(v: int, h: int) -> tuple[int, int]:
+        nonlocal count
+        outs = []
+        for w in bits(g.adj[v]):
+            if height[w] < 0:
+                height[w] = h + 1
+                outs.append(dfs(w, h + 1))
+            elif height[w] < h - 1:
+                ends[height[w]] |= 1 << count
+                outs.append((1 << count, height[w]))
+                count += 1
+        forks.append((h, outs))
+        return sum(sub for sub, _ in outs), min([h] + [lo for _, lo in outs])
+
+    for root in range(g.n):
+        if height[root] < 0:
+            height[root] = 0
+            dfs(root, 0)
+    above = [0]
+    for row in ends:
+        above.append(above[-1] | row)
+    parent = list(range(2 * count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for h, outs in forks:
+        rets = [(sub & above[h], ~above[lo + 1]) for sub, lo in outs if sub & above[h]]
+        for i, (r1, deeper1) in enumerate(rets):
+            for r2, deeper2 in rets[:i]:
+                nodes = [2 * e for e in bits(r1 & deeper2)] + [2 * e + 1 for e in bits(r2 & deeper1)]
+                for x in nodes[1:]:
+                    for a, b in ((nodes[0], x), (nodes[0] ^ 1, x ^ 1)):
+                        parent[find(a)] = find(b)
+                    if find(x) == find(x ^ 1):
+                        return False
+    return True
+
+
+def test_side_classes_match_a_parity_union_find(rng):
+    # near-planar: a thinned stacked triangulation plus up to three random edges
+    verdicts = []
+    for n in list(range(9, 65)) * 4:
+        edges = _thinned_stacked_triangulation(rng, n)
+        present = {frozenset(e) for e in edges}
+        for _ in range(rng.randrange(4)):
+            u, v = rng.sample(range(n), 2)
+            if len(present) < 3 * n - 6 and frozenset((u, v)) not in present:
+                present.add(frozenset((u, v)))
+                edges.append((u, v))
+        g = _relabelled(rng, n, edges)
+        _assert_past_shortcuts(g)
+        verdicts.append(is_planar(g))
+        assert verdicts[-1] == _parity_union_find_planar(g), g.edges()
+    assert 0 < sum(verdicts) < len(verdicts)
