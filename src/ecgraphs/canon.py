@@ -7,15 +7,15 @@ labelling.  A leaf whose relabelled rows equal those of the first leaf or of
 the best leaf so far reveals an automorphism, and the subtree it lies in is
 the image of an explored one, so the search jumps straight back to the deepest
 common ancestor with that path (McKay 1981; McKay and Piperno 2014).  Each
-tree node also keeps one union-find of the orbits, on its target cell, of the
-automorphisms found so far that fix its individualized prefix; it folds in
-only the generators found since its last check, and skips children in the
-orbit of an explored child.  Every skipped subtree is an automorphic image of
-an explored one, so the smallest leaf, and the canonical form, are those of
-the unpruned tree, and the generators found generate the whole automorphism
-group.  Complete and empty graphs, K_{n,n}, rook graphs K_n x K_n,
-hypercubes and Paley graphs on up to 64 vertices take well under a second.
-Disjoint unions of several kinds of component that refinement cannot tell
+tree node also keeps a bitmask of the vertices of its target cell that lie in
+the orbit of an explored child under the automorphisms found so far that fix
+its individualized prefix; it closes that mask under new such generators as
+they arrive and skips the children in it.  Every skipped subtree is an
+automorphic image of an explored one, so the smallest leaf, and the canonical
+form, are those of the unpruned tree, and the generators found generate the
+whole automorphism group.  Complete and empty graphs, K_{n,n}, rook graphs
+K_n x K_n, hypercubes and Paley graphs on up to 64 vertices take well under a
+second.  Disjoint unions of several kinds of component that refinement cannot tell
 apart (2-regular unions of 3-, 4- and 5-cycles, say) remain slow: their
 subtrees are not images of each other, so nothing prunes them.
 
@@ -28,7 +28,7 @@ families.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph6 import encode_graph6
 from .graphs import Graph, bits, permute_rows
@@ -121,31 +121,26 @@ def canonical_search(n: int, adj: Sequence[int]) -> tuple[list[int], list[tuple[
             return depth
 
         cell = cells[target]
-        # orbits on the cell of the automorphisms found so far that fix the
-        # path pointwise; children in the orbit of an explored child are images
-        # of its subtree and are skipped
-        parent: list[int] | None = None
-        folded = 0
-        explored: list[int] = []
+        # covered: the vertices of the cell in the orbit of an explored child
+        # under the automorphisms found so far that fix the path pointwise;
+        # those children are images of an explored subtree and are skipped
+        fixing: list[tuple[int, ...]] = []
+        covered = folded = 0
         m = cell
         while m:
             low = m & -m
-            v = low.bit_length() - 1
             m ^= low
-            if explored and folded < len(gens):
-                fixing = [g for g in gens[folded:] if all(g[w] == w for w in path)]
+            if covered and folded < len(gens):
+                new = [g for g in gens[folded:] if all(g[w] == w for w in path)]
                 folded = len(gens)
-                if fixing:
-                    if parent is None:
-                        parent = list(range(n))
-                    _join(parent, fixing, bits(cell))
-            if parent is not None:
-                root = _find(parent, v)
-                if any(_find(parent, u) == root for u in explored):
-                    continue
-            explored.append(v)
+                if new:
+                    fixing += new
+                    covered = orbit_closure(covered, fixing)
+            if covered & low:
+                continue
+            covered |= orbit_closure(low, fixing)
             ncells = cells[:target] + [low, cell ^ low] + cells[target + 1:]
-            resume = descend(refine_partition(n, adj, ncells, [low]), path + [v])
+            resume = descend(refine_partition(n, adj, ncells, [low]), path + [low.bit_length() - 1])
             if resume < depth:
                 return resume
         return depth
@@ -209,31 +204,32 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     return gens
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _join(parent: list[int], gens: Iterable[Sequence[int]], vertices: Iterable[int]) -> None:
-    """Union each of ``vertices`` with its image under every generator; the
-    vertices must be closed under the generators."""
-    vertices = list(vertices)
-    for g in gens:
-        for v in vertices:
-            ra, rb = _find(parent, v), _find(parent, g[v])
-            if ra != rb:
-                parent[ra] = rb
+def orbit_closure(mask: int, gens: Sequence[Sequence[int]]) -> int:
+    """Union of the orbits of the vertices in ``mask`` under the group
+    generated by ``gens``: every generator is applied to the newly added
+    vertices until no new vertex appears."""
+    new = mask
+    while new:
+        img = 0
+        for v in bits(new):
+            for g in gens:
+                img |= 1 << g[v]
+        new = img & ~mask
+        mask |= new
+    return mask
 
 
 def orbit_partition(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
     """Vertex orbits under the group generated by ``gens``: orbit id per vertex,
     numbered in order of first appearance."""
-    parent = list(range(n))
-    _join(parent, gens, range(n))
-    ids: dict[int, int] = {}
-    return [ids.setdefault(_find(parent, v), len(ids)) for v in range(n)]
+    ids = [-1] * n
+    k = 0
+    for v in range(n):
+        if ids[v] < 0:
+            for u in bits(orbit_closure(1 << v, gens)):
+                ids[u] = k
+            k += 1
+    return ids
 
 
 def automorphism_orbits(g: Graph) -> list[int]:

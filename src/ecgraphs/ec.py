@@ -291,7 +291,8 @@ def is_n_line_ec(g: Graph, n: int) -> EcVerdict:
     edges = g.edges()
     m = len(edges)
     if not 1 <= n <= m:
-        raise GraphError(f"level must be 1..{m} for this graph, got {n}")
+        raise GraphError(f"level must be 1..{m} for this graph, got {n}" if m
+                         else "this graph has no edges, so no line level applies")
     return _verdict(n, _ec_split_search(line_adjacency(edges, g.n), m, n, _graph_reps(g, edges)), edges)
 
 

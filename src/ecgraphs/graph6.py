@@ -15,6 +15,7 @@ from .graphs import MAX_VERTICES, Graph
 
 HEADER = ">>graph6<<"
 SPACE = " \t\n\r\v\f"  # stripped from lines: ASCII only, so other bytes get named
+_PAIRS = [(i, j) for j in range(MAX_VERTICES) for i in range(j)]  # column-major: pair t of the body
 
 
 class Graph6Error(ValueError):
@@ -68,21 +69,17 @@ def parse_graph6(text: str) -> Graph:
             base + body_start + min(len(body), nbytes),
         )
 
-    rows = [0] * n
-    idx = 0
-    i, j = 0, 1  # current column-major pair
+    val = 0
     for ch in body:
-        val = ord(ch) - 63
-        for k in range(5, -1, -1):
-            if idx >= nbits:
-                break
-            if val >> k & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
+        val = val << 6 | (ord(ch) - 63)
+    val >>= 6 * len(body) - nbits  # drop the padding: pair t is now bit nbits-1-t
+    rows = [0] * n
+    while val:
+        low = val & -val
+        val ^= low
+        i, j = _PAIRS[nbits - low.bit_length()]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     return Graph(n, tuple(rows))
 
 

@@ -131,7 +131,8 @@ def is_n_line_ec_hyper(h: Hypergraph, n: int) -> EcVerdict:
     """Edge-level closure check, never materializing the line graph."""
     m = len(h.edges)
     if not 1 <= n <= m:
-        raise HypergraphError(f"level must be 1..{m} for this hypergraph, got {n}")
+        raise HypergraphError(f"level must be 1..{m} for this hypergraph, got {n}" if m
+                              else "this hypergraph has no edges, so no line level applies")
     items = [tuple(bits(e)) for e in h.edges]
     failure = _ec_split_search(
         line_adjacency(items, h.n), m, n, lambda level: twin_orbit_reps(_hypergraph_twin_classes(h), items)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .canon import canonical_form, canonical_search, degree_triangle_invariant, orbit_leaders, orbit_partition, refine_partition
+from .canon import canonical_form, canonical_search, degree_triangle_invariant, orbit_closure, orbit_leaders, refine_partition
 from .ec import is_n_ec, is_n_line_ec
 from .graph6 import Graph6Error, numbered_lines, parse_graph6
 from .graphs import Graph, bits, is_connected, _reach
@@ -98,9 +98,8 @@ def _pred_two_ec(g: Graph) -> bool:
 def predicate_functions(names: Sequence[str]) -> _Chain:
     out: _Chain = []
     for name in names:
-        if name.startswith("edge_count="):
-            target = int(name.split("=", 1)[1])
-            out.append((name, lambda g, m=target: g.edge_count() == m))
+        if name.startswith("edge_count=") and (m := name[len("edge_count="):]).isascii() and m.isdigit():
+            out.append((name, lambda g, m=int(m): g.edge_count() == m))
         elif name == "planar":
             out.append((name, is_planar))
         elif name == "two_line_ec":
@@ -171,9 +170,8 @@ def _accepts(rows: list[int], connected: bool) -> tuple[bool, list[tuple[int, ..
     if not rivals:
         return True, None
     perm, gens = canonical_search(k, rows)
-    orb = orbit_partition(k, gens)
     chosen = min(rivals + [vn], key=perm.__getitem__)
-    return orb[chosen] == orb[vn], gens
+    return orbit_closure(1 << chosen, gens) >> vn & 1 == 1, gens
 
 
 def _neighborhoods(k: int, rows: Sequence[int], forced: int, lo: int, hi: int, gens: list | None = None) -> list[int]:

@@ -3,11 +3,13 @@ import math
 import random
 import time
 
+from ecgraphs import canon
 from ecgraphs.canon import (
     automorphism_generators,
     automorphism_orbits,
     canonical_form,
     is_isomorphic,
+    orbit_closure,
 )
 from ecgraphs.catalog import named_graph
 from ecgraphs.constructions import paley
@@ -36,6 +38,12 @@ from conftest import (
 
 # graphs up to isomorphism on 1..6 vertices (published sequence)
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+
+PETERSEN = Graph.from_edges(
+    10,
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)],
+)
 
 
 def test_relabelling_invariance(rng):
@@ -102,21 +110,13 @@ def test_orbits_sampled(rng):
 
 
 def test_orbits_on_transitive_graphs():
-    petersen = Graph.from_edges(
-        10,
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-         (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)],
-    )
-    cube = cartesian_product(
-        cartesian_product(complete_graph(2), complete_graph(2)), complete_graph(2)
-    )
     transitive = (
         cycle_graph(9),
         complete_graph(7),
         cartesian_product(complete_graph(3), complete_graph(3)),
         paley(13),
-        petersen,
-        cube,
+        PETERSEN,
+        _hypercube(3),
     )
     for g in transitive:
         assert len(set(automorphism_orbits(g))) == 1
@@ -142,6 +142,13 @@ def _hypercube(d: int) -> Graph:
     for _ in range(d - 1):
         g = cartesian_product(g, complete_graph(2))
     return g
+
+
+def _cycle_union(lengths) -> Graph:
+    rows: list[int] = []
+    for k in lengths:
+        rows += [row << len(rows) for row in cycle_graph(k).adj]
+    return Graph(len(rows), tuple(rows))
 
 
 PALEY_ORDERS = (5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61)
@@ -203,10 +210,7 @@ def test_generators_generate_groups_of_cycle_unions():
     # cycle lengths puts those leaves deep in the tree
     rng = random.Random(5)
     for lengths in ([5, 6, 5], [4, 5, 4, 5], [4, 6, 4, 6], [3, 4, 3, 4, 3], [4, 5, 6, 4, 5, 6], [6, 3, 6, 3, 3]):
-        rows: list[int] = []
-        for k in lengths:
-            rows += [row << len(rows) for row in cycle_graph(k).adj]
-        g = Graph(len(rows), tuple(rows))
+        g = _cycle_union(lengths)
         order = math.prod(math.factorial(lengths.count(k)) * (2 * k) ** lengths.count(k) for k in set(lengths))
         assert group_order(g.n, automorphism_generators(g)) == order, lengths
         assert canonical_form(g.permuted(random_permutation(rng, g.n))) == canonical_form(g), lengths
@@ -236,3 +240,85 @@ def test_canonical_forms_pinned():
     for n in (48, 64):
         assert canonical_form(complete_graph(n)) == write_graph6(complete_graph(n))
         assert canonical_form(empty_graph(n)) == write_graph6(empty_graph(n))
+
+
+# tree nodes (one refine_partition call each, the root's included) that
+# canonical_search visits, recorded while a node still kept its orbits in a
+# union-find; the skip rule must not move them.  In C4 + C6 under this
+# relabelling, a generator that moves the path would merge two children that
+# the path's stabilizer keeps apart.
+TREE_NODES = {
+    "K8": (lambda: complete_graph(8), 36),
+    "K4,4": (lambda: complete_bipartite(4, 4), 34),
+    "Q3": (lambda: _hypercube(3), 10),
+    "Petersen": (lambda: PETERSEN, 10),
+    "Paley13": (lambda: paley(13), 7),
+    "C16": (lambda: cycle_graph(16), 6),
+    "E8": (lambda: empty_graph(8), 36),
+    "C4+C6 relabelled": (lambda: _cycle_union([4, 6]).permuted(random_permutation(random.Random(8), 10)), 30),
+}
+
+
+def test_search_tree_sizes_pinned(monkeypatch):
+    calls = 0
+    refine = canon.refine_partition
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return refine(*args)
+
+    monkeypatch.setattr(canon, "refine_partition", counting)
+    for name, (make, nodes) in TREE_NODES.items():
+        g = make()
+        calls = 0
+        canon.canonical_search(g.n, g.adj)
+        assert calls == nodes, name
+
+
+def _brute_group(n: int, gens) -> set:
+    """Every element of the group generated by ``gens``, by breadth-first
+    products with the generators from the identity."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return group
+
+
+def test_orbit_closure_matches_group_closure():
+    # each generator permutes some blocks of a random partition into blocks of
+    # at most 4 points, so the group stays small enough to list; cycles of
+    # length 3 and 4 need several rounds of images, and generators on disjoint
+    # blocks share no support
+    rng = random.Random(0x0C)
+    for _ in range(300):
+        n = rng.randrange(1, 11)
+        points = random_permutation(rng, n)
+        blocks = []
+        while points:
+            size = rng.randrange(1, 5)
+            blocks.append(points[:size])
+            points = points[size:]
+        gens = []
+        for _ in range(rng.randrange(4)):
+            g = list(range(n))
+            for block in rng.sample(blocks, rng.randrange(1, len(blocks) + 1)):
+                for x, y in zip(block, rng.sample(block, len(block))):
+                    g[x] = y
+            gens.append(tuple(g))
+        group = _brute_group(n, gens)
+        for mask in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(4)] + [1 << v for v in range(n)]:
+            images = 0
+            for p in group:
+                for v in range(n):
+                    if mask >> v & 1:
+                        images |= 1 << p[v]
+            assert orbit_closure(mask, gens) == images, (n, gens, mask)

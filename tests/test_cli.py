@@ -418,3 +418,26 @@ def test_enumerate_with_predicates(capsys):
     )
     assert code == 0
     assert out.strip() == canonical_form(complete_bipartite(3, 3))
+
+
+def test_edge_count_predicate_takes_ascii_digits_only(capsys):
+    for bad in ("edge_count=1_0", "edge_count=+10", "edge_count=\u0661\u0660", "edge_count=x", "edge_count=-3"):
+        code, out, err = run_cli(capsys, "enumerate", "--order", "5", "--predicate", bad)
+        assert code == 2 and out == "", bad
+        assert err == f"ecgraphs: error: unknown predicate {bad!r}\n", bad
+    code, out, _ = run_cli(capsys, "enumerate", "--order", "5", "--predicate", "edge_count=10")
+    assert code == 0 and out.strip() == canonical_form(complete_graph(5))
+
+
+def test_line_level_on_an_edgeless_input_says_it_has_no_edges(capsys, tmp_path):
+    graph = tmp_path / "e2.g6"
+    graph.write_text("A?\n")
+    hyper = tmp_path / "h.txt"
+    hyper.write_text("3 0\n")
+    for argv, what in ((("check", "--mode", "line", graph), "graph"),
+                       (("check", "--mode", "hyper", hyper), "hypergraph"),
+                       (("hyper", "check", hyper), "hypergraph")):
+        for n in ("1", "2"):
+            code, out, err = run_cli(capsys, *argv[:-1], "--n", n, str(argv[-1]))
+            assert code == 2 and out == "", argv
+            assert err == f"ecgraphs: error: this {what} has no edges, so no line level applies\n", argv

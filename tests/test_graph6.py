@@ -43,6 +43,18 @@ def test_roundtrip_random(rng):
         assert parse_graph6(write_graph6(g)).adj == g.adj
 
 
+def test_padding_bits_are_ignored(rng):
+    # the last body byte is padded to 6 bits; set padding bits change no row
+    for n in range(2, 65):
+        pad = -(n * (n - 1) // 2) % 6
+        if not pad:
+            continue
+        g = random_graph(rng, n, rng.choice([0.1, 0.5, 0.9]))
+        text = write_graph6(g)
+        for fill in (1, (1 << pad) - 1):
+            assert parse_graph6(text[:-1] + chr(ord(text[-1]) | fill)).adj == g.adj, (n, fill)
+
+
 def test_roundtrip_exhaustive_small():
     for n in range(1, 7):
         for g in all_labeled_graphs(n):
