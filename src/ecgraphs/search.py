@@ -15,9 +15,13 @@ order in range and expanding each smaller one, so a named search up to
 ``max_order`` and a single-order enumeration are the same routine.  Children
 take only admissible neighbourhoods (those holding every vertex the
 min-degree lookahead forces, with a size inside the degree and edge bounds),
-listed directly rather than filtered out of all 2^k vertex subsets.  A chain
-led by ``planar`` prunes nonplanar nodes and derives the Euler window: a child
-on k >= 3 vertices has at most 3k - 6 edges.
+listed directly rather than filtered out of all 2^k vertex subsets.  Nor do
+they take one that the acceptance degree test would reject: with d the least
+degree of a deletable vertex of the parent, which stays deletable in the
+child, a neighbourhood has at most d + 1 members, and at d + 1 it holds every
+deletable vertex of degree d (``_neighborhoods`` gives the argument).  A
+chain led by ``planar`` prunes nonplanar nodes and derives the Euler window:
+a child on k >= 3 vertices has at most 3k - 6 edges.
 
 Acceptance is one rule with one per-vertex eligibility predicate (removing
 the vertex keeps the rest connected, when connectivity is required), tested
@@ -139,18 +143,25 @@ def _survives(g: Graph, chain: _Chain, rejected: dict[str, int]) -> bool:
 # canonical augmentation
 
 
-def _accepts(rows: list[int], connected: bool) -> tuple[bool, list[tuple[int, ...]] | None]:
+def _accepts(rows: list[int], connected: bool, deletable: int = 0) -> tuple[bool, list[tuple[int, ...]] | None]:
     """Canonical-deletion test for the newest vertex of a candidate child: it
     must lie in the first refinement cell holding an eligible vertex and share
     an orbit with that cell's eligible vertex of least canonical label.
-    Returns the verdict and the automorphism generators if it computed them."""
+    ``deletable`` holds vertices already known to be eligible, which skip the
+    connectivity test.  Returns the verdict and the automorphism generators if
+    it computed them.
+
+    The walk lists no neighbourhood that the first test, an eligible vertex of
+    smaller degree than the newest, would reject for a vertex deletable in
+    the parent (see ``_neighborhoods``).  The test still runs: a cut vertex of
+    the parent can become deletable in the child, and then it may reject."""
     k = len(rows)
     vn = k - 1
     full = (1 << k) - 1
 
     def eligible(v: int) -> bool:
         # deletable: the other vertices stay connected when connectivity matters
-        if not connected:
+        if not connected or deletable >> v & 1:
             return True
         rest = full & ~(1 << v)
         return _reach(rows, 0 if v else 1, rest) == rest
@@ -174,24 +185,60 @@ def _accepts(rows: list[int], connected: bool) -> tuple[bool, list[tuple[int, ..
     return orbit_closure(1 << chosen, gens) >> vn & 1 == 1, gens
 
 
-def _neighborhoods(k: int, rows: Sequence[int], forced: int, lo: int, hi: int, gens: list | None = None) -> list[int]:
+def _neighborhoods(
+    k: int, rows: Sequence[int], forced: int, lo: int, hi: int, gens: list | None = None, forced_at: tuple[int, int] = (0, 0)
+) -> list[int]:
     """The neighbourhoods a new vertex may take: supersets of ``forced`` with
-    ``lo..hi`` members, ascending, keeping the least mask of each orbit of
-    the automorphism group of ``rows`` (generated by ``gens`` when given).
+    ``lo..hi`` members, those with ``forced_at[0]`` members also holding
+    every vertex of ``forced_at[1]``, ascending, keeping the least mask of
+    each orbit of the automorphism group of ``rows`` (generated by ``gens``
+    when given).
 
-    Orbits are closed over these masks only, which relies on ``forced`` and
-    the size window being unions of orbits: ``forced`` is defined by degree,
-    and automorphisms keep degrees and sizes.
+    Orbits are closed over these masks only, which relies on both forced
+    sets and the size window being unions of orbits: the walk defines them
+    by degree and deletability, and automorphisms keep both and sizes.
+
+    The walk takes ``forced_at`` from the degree test of ``_accepts``.  Let
+    d be the least degree of a vertex deletable in the parent.  Such a vertex
+    stays deletable in the child unless it is the new vertex's only
+    neighbour, since the new vertex hangs on the rest of its neighbourhood
+    N.  If |N| >= d + 2, a deletable vertex of degree d has degree at most
+    d + 1 < |N| in the child, and if |N| = d + 1, one outside N has degree
+    d < |N|; either rejects the child.  So the walk caps ``hi`` at d + 1 and
+    forces every deletable vertex of degree d at d + 1 members exactly (not
+    at a smaller capped ``hi``, where no vertex rejects by degree).
     """
-    free = [1 << v for v in range(k) if not forced >> v & 1]
-    f = forced.bit_count()
-    sizes = range(max(lo - f, 0), min(hi - f, len(free)) + 1)
-    masks = sorted(forced | sum(c) for s in sizes for c in combinations(free, s))  # distinct bits: sum is union
+    size, extra = forced_at
+    masks = []
+    for s in range(max(lo, forced.bit_count()), min(hi, k) + 1):
+        must = forced | extra if s == size else forced
+        free = [1 << v for v in range(k) if not must >> v & 1]
+        if s >= must.bit_count():
+            masks += (must | sum(c) for c in combinations(free, s - must.bit_count()))  # distinct bits: sum is union
+    masks.sort()
     if gens is None:
         _, gens = canonical_search(k, rows)  # no generators when refinement is discrete
     if not gens:
         return masks
     return [masks[i] for i in orbit_leaders(masks, gens)]
+
+
+def _degree_cap(rows: Sequence[int], connected: bool, known: int) -> tuple[int, int, int]:
+    """The deletable vertices of a parent (removing one keeps the rest
+    connected; every vertex when connectivity does not matter; those in
+    ``known`` untested), d + 1 for their least degree d, and those of degree
+    d: the largest neighbourhood that the degree test of ``_accepts`` can pass
+    and the vertices it must hold at that size (see ``_neighborhoods``)."""
+    k = len(rows)
+    full = (1 << k) - 1
+    deletable = full
+    if connected and k > 1:
+        for v in bits(full & ~known):
+            rest = full & ~(1 << v)
+            if _reach(rows, 0 if v else 1, rest) != rest:
+                deletable &= ~(1 << v)
+    d = min(rows[v].bit_count() for v in bits(deletable))
+    return deletable, d + 1, sum(1 << v for v in bits(deletable) if rows[v].bit_count() == d)
 
 
 def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -> Iterator[Graph]:
@@ -213,7 +260,7 @@ def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -
     if cons.max_edges is not None and hi * fmd > 2 * cons.max_edges:
         hi = 2 * cons.max_edges // fmd if fmd else 0
 
-    def grow(rows: list[int], m_now: int, gens: list[tuple[int, ...]] | None) -> Iterator[Graph]:
+    def grow(rows: list[int], m_now: int, gens: list[tuple[int, ...]] | None, known: int) -> Iterator[Graph]:
         k = len(rows)
         planar = not prune or lr_planar_rows(k, rows)
         if k >= lo and min(row.bit_count() for row in rows) >= fmd:
@@ -240,17 +287,21 @@ def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -
             max_sz = min(max_sz, cons.max_edges - m_now - (max(lo - k - 1, 0) if connected else 0))
         if prune and k >= 2:
             max_sz = min(max_sz, 3 * (k + 1) - 6 - m_now)
-        for nb in _neighborhoods(k, rows, forced, max(need, 1 if connected else 0), max_sz, gens):
+        deletable, top, least = _degree_cap(rows, connected, known)
+        for nb in _neighborhoods(k, rows, forced, max(need, 1 if connected else 0), min(max_sz, top), gens, (top, least)):
             child = list(rows)
             for v in bits(nb):
                 child[v] |= 1 << k
             child.append(nb)
-            accepted, child_gens = _accepts(child, connected)
+            # the new vertex is deletable, and so is each parent-deletable one
+            # unless it is the new vertex's only neighbour
+            child_known = (deletable & ~nb if nb.bit_count() == 1 else deletable) | 1 << k
+            accepted, child_gens = _accepts(child, connected, child_known)
             if accepted:
-                yield from grow(child, m_now + nb.bit_count(), child_gens)
+                yield from grow(child, m_now + nb.bit_count(), child_gens, child_known)
 
     if lo <= hi:
-        yield from grow([0], 0, None)
+        yield from grow([0], 0, None, 0)
 
 
 def new_counters(cons: SearchConstraints) -> dict[str, int]:

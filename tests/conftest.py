@@ -264,12 +264,16 @@ def brute_least_images(g: Graph) -> tuple[int, ...]:
     return tuple(min(sum(1 << p[v] for v in bits(m)) for p in autos) for m in range(1 << g.n))
 
 
-def brute_neighborhoods(g: Graph, forced: int, lo: int, hi: int) -> list[int]:
+def brute_neighborhoods(g: Graph, forced: int, lo: int, hi: int, forced_at: tuple[int, int] = (0, 0)) -> list[int]:
     """Orbit representatives of the admissible neighbourhoods by definition:
     the least member of the orbit of every vertex subset that holds
-    ``forced`` and has lo..hi members, ascending."""
+    ``forced``, has lo..hi members and, when it has ``forced_at[0]`` members,
+    holds ``forced_at[1]`` too, ascending."""
     least = brute_least_images(g)
-    return sorted({least[m] for m in range(1 << g.n) if m & forced == forced and lo <= m.bit_count() <= hi})
+    size, extra = forced_at
+    return sorted({least[m] for m in range(1 << g.n)
+                   if m & forced == forced and lo <= m.bit_count() <= hi
+                   and (m.bit_count() != size or m & extra == extra)})
 
 
 @pytest.fixture

@@ -4,12 +4,13 @@ import time
 import pytest
 
 from ecgraphs import search
-from ecgraphs.canon import canonical_form, degree_triangle_invariant
+from ecgraphs.canon import canonical_form, canonical_search, degree_triangle_invariant
 from ecgraphs.catalog import planar_two_line_ec_graphs
 from ecgraphs.ec import is_n_ec
 from ecgraphs.graph6 import Graph6Error, numbered_lines, parse_graph6, write_graph6
 from ecgraphs.graphs import (
     Graph,
+    bits,
     cartesian_product,
     complete_bipartite,
     complete_graph,
@@ -35,7 +36,7 @@ from conftest import (
 
 # published census: connected graphs and all graphs up to isomorphism
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
-ALL_COUNTS = [1, 2, 4, 11, 34, 156]
+ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346]  # OEIS A000088
 PLANAR_CONNECTED_COUNTS = [1, 1, 2, 6, 20, 99, 646, 5974]  # OEIS A003094
 
 
@@ -91,14 +92,26 @@ def test_order_four_one_ec_census():
     assert survivors == expected
 
 
+def _deletable(g: Graph, connected: bool) -> int:
+    """By definition: the vertices whose removal leaves the rest connected
+    (every vertex when connectivity does not matter)."""
+    return sum(1 << v for v in range(g.n)
+               if not connected or g.n == 1 or is_connected(g.induced([u for u in range(g.n) if u != v])))
+
+
+# two K4s joined through one path vertex of degree 2: the only vertex of
+# smaller degree than the rest is a cut vertex
+TWO_K4 = Graph.from_edges(
+    9, [(a + s, b + s) for s in (0, 4) for a in range(4) for b in range(a + 1, 4)] + [(0, 8), (4, 8)]
+)
+
+
 def _deletion_cases(graphs, connected: bool):
     """Every graph x newest vertex whose removal leaves the rest connected
     (every vertex when connectivity does not matter), that vertex swapped
     with n-1 so it is the newest."""
     for g in graphs:
-        for v in range(g.n):
-            if connected and not is_connected(g.induced([u for u in range(g.n) if u != v])):
-                continue
+        for v in bits(_deletable(g, connected)):
             perm = list(range(g.n))
             perm[v], perm[-1] = perm[-1], perm[v]
             yield g.permuted(perm)
@@ -114,15 +127,12 @@ def test_accepts_matches_canonical_deletion_rule():
 
     small = [g for n in range(2, 8) for g in enumerate_connected(n)]
     assert check(small, True) == 6098
-    # two K4s joined through one path vertex of degree 2: the only vertex of
-    # smaller degree than the rest is a cut vertex, so it must not reject
-    k4s = [(a + s, b + s) for s in (0, 4) for a in range(4) for b in range(a + 1, 4)]
-    two_k4 = Graph.from_edges(9, k4s + [(0, 8), (4, 8)])
-    # two triangles joined by a path of three edges: the path's inner vertices
-    # are cut vertices in the equitable cell of the triangles' degree-2
-    # vertices, and one of them has the cell's least canonical label
+    # the cut vertex of TWO_K4 has the least degree, so it must not reject;
+    # in two triangles joined by a path of three edges, the path's inner
+    # vertices are cut vertices in the equitable cell of the triangles'
+    # degree-2 vertices, and one of them has the cell's least canonical label
     two_triangles = Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)])
-    check([two_k4, two_triangles], True)
+    check([TWO_K4, two_triangles], True)
     rng = random.Random(5)
     check([random_connected_graph(rng, rng.randint(8, 10), rng.uniform(0.1, 0.6)) for _ in range(400)], True)
     loose = SearchConstraints(require_connected=False)
@@ -144,6 +154,69 @@ def test_neighborhoods_match_brute_orbits():
                         assert got == brute_neighborhoods(g, forced, lo, hi), (write_graph6(g), forced, lo, hi)
                         cases += 1
     assert cases == 21818
+
+
+def _child(g: Graph, nb: int) -> list[int]:
+    """Rows of g plus a new vertex joined to the vertices of ``nb``."""
+    return [row | (nb >> v & 1) << g.n for v, row in enumerate(g.adj)] + [nb]
+
+
+def test_degree_cap_drops_only_rejected_children():
+    # the walk lists no neighbourhood with more than ``top`` members, nor one
+    # with exactly ``top`` that misses a vertex of ``least``; every such child
+    # must fail _accepts, and on the ones it lists, what the walk tells
+    # _accepts is deletable must be so in the child
+    def check(graphs, connected):
+        dropped = 0
+        for g in graphs:
+            deletable, top, least = search._degree_cap(list(g.adj), connected, 0)
+            assert deletable == _deletable(g, connected), write_graph6(g)
+            for nb in range(1 if connected else 0, 1 << g.n):
+                size = nb.bit_count()
+                child = _child(g, nb)
+                if size > top or size == top and nb & least != least:
+                    assert not search._accepts(child, connected)[0], (write_graph6(g), nb)
+                    dropped += 1
+                else:
+                    known = (deletable & ~nb if size == 1 else deletable) | 1 << g.n
+                    assert known & ~search._degree_cap(child, connected, 0)[0] == 0, (write_graph6(g), nb)
+        return dropped
+
+    small = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    assert check(small, True) == 85091
+    # the cut vertex of TWO_K4 has the strictly least degree: the cap comes
+    # from the degree 3 of the K4 vertices off the path
+    assert search._degree_cap(list(TWO_K4.adj), True, 0)[1:] == (4, 0b011101110)
+    check([TWO_K4], True)
+    rng = random.Random(17)
+    check([random_connected_graph(rng, rng.randint(8, 10), rng.uniform(0.1, 0.6)) for _ in range(30)], True)
+    loose = SearchConstraints(require_connected=False)
+    assert check([g for n in range(1, 7) for g in enumerate_connected(n, loose)], False) == 8159
+
+
+def test_neighborhoods_with_a_forced_size_match_brute_orbits():
+    # the forced set at one size only, taken from degree and deletability as
+    # the walk takes it: both are unions of orbits
+    cases = 0
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            degs = g.degrees()
+            deletable = _deletable(g, True)
+            _, gens = canonical_search(n, g.adj)
+            # no forced set, or the vertices of least degree
+            for forced in {0, sum(1 << v for v in range(n) if degs[v] == min(degs))}:
+                for e in set(degs):
+                    for extra in {sum(1 << v for v in range(n) if degs[v] == e),
+                                  sum(1 << v for v in bits(deletable) if degs[v] == e)}:
+                        for lo in range(n + 1):
+                            for hi in {lo, min(lo + 1, n), n}:
+                                # at either end of the window, inside it and just above it
+                                for size in {lo, (lo + hi) // 2, hi, hi + 1}:
+                                    at = (size, extra)
+                                    got = search._neighborhoods(n, list(g.adj), forced, lo, hi, gens, at)
+                                    assert got == brute_neighborhoods(g, forced, lo, hi, at), (write_graph6(g), forced, lo, hi, at)
+                                    cases += 1
+    assert cases == 47262
 
 
 def test_order_range_enforced():
