@@ -23,13 +23,13 @@ deletable vertex of degree d (``_neighborhoods`` gives the argument).  A
 chain led by ``planar`` prunes nonplanar nodes and derives the Euler window:
 a child on k >= 3 vertices has at most 3k - 6 edges.
 
-Acceptance is one rule with one per-vertex eligibility predicate (removing
-the vertex keeps the rest connected, when connectivity is required), tested
-lazily with early exit: an eligible vertex of smaller degree rejects before
-any refinement, an eligible vertex in an earlier cell rejects after it, and
-only an eligible rival in the newest vertex's own cell calls for the
-canonical-labelling orbit test, whose automorphism generators the child's
-expansion then reuses.
+Acceptance is one rule over one mask of eligible vertices per node, the
+deletable ones (removing one keeps the rest connected, when connectivity is
+required), computed once per child from the parent's mask.  A deletable
+vertex in an earlier refinement cell rejects (cells are ordered by degree
+first, so one of smaller degree does), and only a deletable rival in the
+newest vertex's own cell calls for the canonical-labelling orbit test, whose
+automorphism generators the child's expansion then reuses.
 """
 
 from __future__ import annotations
@@ -143,45 +143,40 @@ def _survives(g: Graph, chain: _Chain, rejected: dict[str, int]) -> bool:
 # canonical augmentation
 
 
-def _accepts(rows: list[int], connected: bool, deletable: int = 0) -> tuple[bool, list[tuple[int, ...]] | None]:
-    """Canonical-deletion test for the newest vertex of a candidate child: it
-    must lie in the first refinement cell holding an eligible vertex and share
-    an orbit with that cell's eligible vertex of least canonical label.
-    ``deletable`` holds vertices already known to be eligible, which skip the
-    connectivity test.  Returns the verdict and the automorphism generators if
-    it computed them.
+def _deletable(rows: Sequence[int], connected: bool, known: int) -> int:
+    """The deletable vertices of a graph: those whose removal keeps the rest
+    connected, or every vertex when connectivity does not matter.  Vertices
+    in ``known`` are taken as deletable untested."""
+    k = len(rows)
+    full = (1 << k) - 1
+    deletable = full
+    if connected and k > 1:
+        for v in bits(full & ~known):
+            rest = full & ~(1 << v)
+            if _reach(rows, 0 if v else 1, rest) != rest:
+                deletable &= ~(1 << v)
+    return deletable
 
-    The walk lists no neighbourhood that the first test, an eligible vertex of
-    smaller degree than the newest, would reject for a vertex deletable in
-    the parent (see ``_neighborhoods``).  The test still runs: a cut vertex of
-    the parent can become deletable in the child, and then it may reject."""
+
+def _accepts(rows: list[int], deletable: int) -> tuple[bool, list[tuple[int, ...]] | None]:
+    """Canonical-deletion test for the newest vertex of a candidate child: it
+    must lie in the first refinement cell holding a vertex of ``deletable``
+    (the child's deletable vertices, the newest among them) and share an
+    orbit with that cell's deletable vertex of least canonical label.
+    Returns the verdict and the automorphism generators if it computed them."""
     k = len(rows)
     vn = k - 1
-    full = (1 << k) - 1
-
-    def eligible(v: int) -> bool:
-        # deletable: the other vertices stay connected when connectivity matters
-        if not connected or deletable >> v & 1:
-            return True
-        rest = full & ~(1 << v)
-        return _reach(rows, 0 if v else 1, rest) == rest
-
-    # vn itself needs no test: removing it leaves the parent, which is connected.
-    # Refinement orders cells by degree first, so an eligible vertex of smaller
-    # degree rejects before any refinement.
-    dnew = rows[vn].bit_count()
-    if any(rows[v].bit_count() < dnew and eligible(v) for v in range(vn)):
-        return False, None
-    cells = refine_partition(k, rows, [full])
+    cells = refine_partition(k, rows, [(1 << k) - 1])
     ci = next(i for i, c in enumerate(cells) if c >> vn & 1)
-    # earlier cells hold degrees <= dnew, and the smaller ones were tested above
-    if any(rows[v].bit_count() == dnew and eligible(v) for c in cells[:ci] for v in bits(c)):
+    # refinement orders cells by degree first, so this is also the degree
+    # test: a deletable vertex of smaller degree lies in an earlier cell
+    if any(c & deletable for c in cells[:ci]):
         return False, None
-    rivals = [v for v in bits(cells[ci]) if v != vn and eligible(v)]
-    if not rivals:
+    rivals = cells[ci] & deletable
+    if rivals == 1 << vn:
         return True, None
     perm, gens = canonical_search(k, rows)
-    chosen = min(rivals + [vn], key=perm.__getitem__)
+    chosen = min(bits(rivals), key=perm.__getitem__)
     return orbit_closure(1 << chosen, gens) >> vn & 1 == 1, gens
 
 
@@ -223,22 +218,13 @@ def _neighborhoods(
     return [masks[i] for i in orbit_leaders(masks, gens)]
 
 
-def _degree_cap(rows: Sequence[int], connected: bool, known: int) -> tuple[int, int, int]:
-    """The deletable vertices of a parent (removing one keeps the rest
-    connected; every vertex when connectivity does not matter; those in
-    ``known`` untested), d + 1 for their least degree d, and those of degree
-    d: the largest neighbourhood that the degree test of ``_accepts`` can pass
-    and the vertices it must hold at that size (see ``_neighborhoods``)."""
-    k = len(rows)
-    full = (1 << k) - 1
-    deletable = full
-    if connected and k > 1:
-        for v in bits(full & ~known):
-            rest = full & ~(1 << v)
-            if _reach(rows, 0 if v else 1, rest) != rest:
-                deletable &= ~(1 << v)
+def _degree_cap(rows: Sequence[int], deletable: int) -> tuple[int, int]:
+    """d + 1 for the least degree d of a vertex of ``deletable``, and those of
+    degree d: the largest neighbourhood that the degree test of ``_accepts``
+    can pass and the vertices it must hold at that size (see
+    ``_neighborhoods``)."""
     d = min(rows[v].bit_count() for v in bits(deletable))
-    return deletable, d + 1, sum(1 << v for v in bits(deletable) if rows[v].bit_count() == d)
+    return d + 1, sum(1 << v for v in bits(deletable) if rows[v].bit_count() == d)
 
 
 def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -> Iterator[Graph]:
@@ -260,7 +246,7 @@ def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -
     if cons.max_edges is not None and hi * fmd > 2 * cons.max_edges:
         hi = 2 * cons.max_edges // fmd if fmd else 0
 
-    def grow(rows: list[int], m_now: int, gens: list[tuple[int, ...]] | None, known: int) -> Iterator[Graph]:
+    def grow(rows: list[int], m_now: int, gens: list[tuple[int, ...]] | None, deletable: int) -> Iterator[Graph]:
         k = len(rows)
         planar = not prune or lr_planar_rows(k, rows)
         if k >= lo and min(row.bit_count() for row in rows) >= fmd:
@@ -287,21 +273,19 @@ def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -
             max_sz = min(max_sz, cons.max_edges - m_now - (max(lo - k - 1, 0) if connected else 0))
         if prune and k >= 2:
             max_sz = min(max_sz, 3 * (k + 1) - 6 - m_now)
-        deletable, top, least = _degree_cap(rows, connected, known)
+        top, least = _degree_cap(rows, deletable)
         for nb in _neighborhoods(k, rows, forced, max(need, 1 if connected else 0), min(max_sz, top), gens, (top, least)):
-            child = list(rows)
-            for v in bits(nb):
-                child[v] |= 1 << k
-            child.append(nb)
+            child = [row | (nb >> v & 1) << k for v, row in enumerate(rows)] + [nb]
             # the new vertex is deletable, and so is each parent-deletable one
             # unless it is the new vertex's only neighbour
-            child_known = (deletable & ~nb if nb.bit_count() == 1 else deletable) | 1 << k
-            accepted, child_gens = _accepts(child, connected, child_known)
+            known = (deletable & ~nb if nb.bit_count() == 1 else deletable) | 1 << k
+            child_deletable = _deletable(child, connected, known)
+            accepted, child_gens = _accepts(child, child_deletable)
             if accepted:
-                yield from grow(child, m_now + nb.bit_count(), child_gens, child_known)
+                yield from grow(child, m_now + nb.bit_count(), child_gens, child_deletable)
 
     if lo <= hi:
-        yield from grow([0], 0, None, 0)
+        yield from grow([0], 0, None, 1)
 
 
 def new_counters(cons: SearchConstraints) -> dict[str, int]:

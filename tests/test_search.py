@@ -121,7 +121,7 @@ def test_accepts_matches_canonical_deletion_rule():
     def check(graphs, connected):
         cases = 0
         for h in _deletion_cases(graphs, connected):
-            assert search._accepts(list(h.adj), connected)[0] == brute_accepts(h, connected), write_graph6(h)
+            assert search._accepts(list(h.adj), _deletable(h, connected))[0] == brute_accepts(h, connected), write_graph6(h)
             cases += 1
         return cases
 
@@ -165,33 +165,57 @@ def test_degree_cap_drops_only_rejected_children():
     # the walk lists no neighbourhood with more than ``top`` members, nor one
     # with exactly ``top`` that misses a vertex of ``least``; every such child
     # must fail _accepts, and on the ones it lists, what the walk tells
-    # _accepts is deletable must be so in the child
+    # _deletable to take as deletable untested must be so in the child
     def check(graphs, connected):
         dropped = 0
         for g in graphs:
-            deletable, top, least = search._degree_cap(list(g.adj), connected, 0)
-            assert deletable == _deletable(g, connected), write_graph6(g)
+            deletable = _deletable(g, connected)
+            assert search._deletable(list(g.adj), connected, 0) == deletable, write_graph6(g)
+            top, least = search._degree_cap(list(g.adj), deletable)
             for nb in range(1 if connected else 0, 1 << g.n):
                 size = nb.bit_count()
                 child = _child(g, nb)
+                child_deletable = _deletable(Graph(g.n + 1, tuple(child)), connected)
                 if size > top or size == top and nb & least != least:
-                    assert not search._accepts(child, connected)[0], (write_graph6(g), nb)
+                    assert not search._accepts(child, child_deletable)[0], (write_graph6(g), nb)
                     dropped += 1
                 else:
                     known = (deletable & ~nb if size == 1 else deletable) | 1 << g.n
-                    assert known & ~search._degree_cap(child, connected, 0)[0] == 0, (write_graph6(g), nb)
+                    assert known & ~child_deletable == 0, (write_graph6(g), nb)
         return dropped
 
     small = [g for n in range(1, 8) for g in enumerate_connected(n)]
     assert check(small, True) == 85091
     # the cut vertex of TWO_K4 has the strictly least degree: the cap comes
     # from the degree 3 of the K4 vertices off the path
-    assert search._degree_cap(list(TWO_K4.adj), True, 0)[1:] == (4, 0b011101110)
+    assert search._degree_cap(list(TWO_K4.adj), _deletable(TWO_K4, True)) == (4, 0b011101110)
     check([TWO_K4], True)
     rng = random.Random(17)
     check([random_connected_graph(rng, rng.randint(8, 10), rng.uniform(0.1, 0.6)) for _ in range(30)], True)
     loose = SearchConstraints(require_connected=False)
     assert check([g for n in range(1, 7) for g in enumerate_connected(n, loose)], False) == 8159
+
+
+def test_walk_hands_every_child_its_exact_deletable_mask(monkeypatch):
+    # acceptance and the child's degree cap read this one mask, so the walk
+    # must compute it exactly, not just a subset of the deletable vertices
+    accepts = search._accepts
+    checked = {True: 0, False: 0}
+    connected = True
+
+    def checked_accepts(rows, deletable):
+        assert deletable == _deletable(Graph(len(rows), tuple(rows)), connected), rows
+        checked[connected] += 1
+        return accepts(rows, deletable)
+
+    monkeypatch.setattr(search, "_accepts", checked_accepts)
+    for name in search.NAMED_SEARCHES:
+        run_named_search(name, 7)
+    connected = False
+    loose = SearchConstraints(require_connected=False)
+    for n in range(1, 7):
+        assert sum(1 for _ in enumerate_connected(n, loose)) == ALL_COUNTS[n - 1]
+    assert checked[True] and checked[False]
 
 
 def test_neighborhoods_with_a_forced_size_match_brute_orbits():
