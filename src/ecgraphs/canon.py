@@ -19,6 +19,12 @@ second.  Disjoint unions of several kinds of component that refinement cannot te
 apart (2-regular unions of 3-, 4- and 5-cycles, say) remain slow: their
 subtrees are not images of each other, so nothing prunes them.
 
+Refinement splits each cell where it stands, by one adjacency row when the
+splitter is a single vertex (every individualized vertex is one).  So a
+caller asking only whether some vertex will precede another can stop it once
+one does, and one holding the refined unit partition hands it to
+``canonical_search``, which then skips its root refinement.
+
 Soundness of the canonical form and completeness of the discovered
 automorphism generators are pinned by tests against brute-force oracles on all
 graphs of small order and against the known group orders of symmetric
@@ -34,51 +40,80 @@ from .graph6 import encode_graph6
 from .graphs import Graph, bits, permute_rows
 
 
-def refine_partition(n: int, adj: Sequence[int], cells: list[int], work: list[int] | None = None) -> list[int]:
+def refine_partition(
+    n: int, adj: Sequence[int], cells: list[int], work: list[int] | None = None, stop: tuple[int, int] | None = None
+) -> list[int]:
     """Coarsest equitable refinement of an ordered partition (cells as bitmasks).
 
     Splits cells by neighbour counts into splitter sets, subcells ordered by
     ascending count; the result is deterministic and relabelling-equivariant.
-    ``work`` optionally restricts the initial splitter queue (used after
-    individualization: only the new singleton needs processing at first).
+    A splitter {s} splits each cell into its non-neighbours of s (count 0)
+    and its neighbours (count 1), by one row of ``adj``.  ``work`` optionally
+    restricts the initial splitter queue (used after individualization: only
+    the new singleton needs processing at first).
+
+    Each cell is replaced by its subcells where it stands, so vertices in
+    different cells never change order.  With ``stop = (v, mask)`` the
+    refinement returns the cells so far at the end of the pass in which a
+    split of v's cell puts a vertex of ``mask`` before v, which no later
+    split can undo: the full refinement would only split those cells further
+    in place.  The caller passes cells where no such vertex precedes v yet.
     """
+    vbit, early = (1 << stop[0], stop[1]) if stop else (0, 0)
     cells = list(cells)
     queue = deque(cells if work is None else work)
-    while queue:
+    halt = 0
+    while queue and not halt:
         splitter = queue.popleft()
         out = []
-        for cell in cells:
-            if not cell & (cell - 1):  # singleton
-                out.append(cell)
-                continue
-            groups: dict[int, int] = {}
-            m = cell
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                cnt = (adj[v] & splitter).bit_count()
-                groups[cnt] = groups.get(cnt, 0) | low
-            if len(groups) == 1:
-                out.append(cell)
-            else:
-                for cnt in sorted(groups):
-                    sub = groups[cnt]
-                    out.append(sub)
-                    queue.append(sub)
+        if not splitter & (splitter - 1):  # one vertex: split by its row
+            row = adj[splitter.bit_length() - 1]
+            for cell in cells:
+                hit = cell & row
+                if hit and hit != cell:
+                    miss = cell ^ hit
+                    out += (miss, hit)
+                    queue += (miss, hit)
+                    if hit & vbit:
+                        halt = miss & early
+                else:
+                    out.append(cell)
+        else:
+            for cell in cells:
+                if not cell & (cell - 1):  # singleton
+                    out.append(cell)
+                    continue
+                groups: dict[int, int] = {}
+                m = cell
+                while m:
+                    low = m & -m
+                    v = low.bit_length() - 1
+                    m ^= low
+                    cnt = (adj[v] & splitter).bit_count()
+                    groups[cnt] = groups.get(cnt, 0) | low
+                if len(groups) == 1:
+                    out.append(cell)
+                else:
+                    subs = [groups[cnt] for cnt in sorted(groups)]
+                    out += subs
+                    queue += subs
+                    if cell & vbit:  # disjoint subcells: their sum is their union
+                        halt = sum(subs[: next(i for i, sub in enumerate(subs) if sub & vbit)]) & early
         cells = out
     return cells
 
 
-def canonical_search(n: int, adj: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None) -> tuple[list[int], list[tuple[int, ...]]]:
     """Canonical labelling and automorphism generators of a raw adjacency list.
 
     Returns ``(perm, generators)`` where ``perm[v]`` is the canonical label of
     vertex v and the generators (vertex permutations fixing the graph)
-    generate the whole automorphism group.
+    generate the whole automorphism group.  A caller that has already refined
+    the unit partition passes the result as ``cells``, and the search starts
+    from it instead of refining again.
     """
-    full = (1 << n) - 1
-    cells = refine_partition(n, adj, [full])
+    if cells is None:
+        cells = refine_partition(n, adj, [(1 << n) - 1])
     if len(cells) == n:  # discrete: trivial automorphism group, no search
         return _leaf_perm(n, cells), []
 

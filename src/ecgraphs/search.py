@@ -27,9 +27,10 @@ Acceptance is one rule over one mask of eligible vertices per node, the
 deletable ones (removing one keeps the rest connected, when connectivity is
 required), computed once per child from the parent's mask.  A deletable
 vertex in an earlier refinement cell rejects (cells are ordered by degree
-first, so one of smaller degree does), and only a deletable rival in the
-newest vertex's own cell calls for the canonical-labelling orbit test, whose
-automorphism generators the child's expansion then reuses.
+first, so one of smaller degree does, and refinement stops once one is there),
+and only a deletable rival in the newest vertex's own cell calls for the
+canonical-labelling orbit test, run from the refined cells.  The child's
+expansion reuses its generators, or with no rival its cells.
 """
 
 from __future__ import annotations
@@ -158,36 +159,39 @@ def _deletable(rows: Sequence[int], connected: bool, known: int) -> int:
     return deletable
 
 
-def _accepts(rows: list[int], deletable: int) -> tuple[bool, list[tuple[int, ...]] | None]:
+def _accepts(rows: list[int], deletable: int) -> tuple[bool, list[tuple[int, ...]] | None, list[int]]:
     """Canonical-deletion test for the newest vertex of a candidate child: it
     must lie in the first refinement cell holding a vertex of ``deletable``
     (the child's deletable vertices, the newest among them) and share an
     orbit with that cell's deletable vertex of least canonical label.
-    Returns the verdict and the automorphism generators if it computed them."""
+    Returns the verdict, the automorphism generators if it computed them, and
+    the refinement cells, refined to the end if the child is accepted."""
     k = len(rows)
     vn = k - 1
-    cells = refine_partition(k, rows, [(1 << k) - 1])
+    # cells split in place: once a deletable vertex precedes vn's, vn loses
+    cells = refine_partition(k, rows, [(1 << k) - 1], None, (vn, deletable))
     ci = next(i for i, c in enumerate(cells) if c >> vn & 1)
     # refinement orders cells by degree first, so this is also the degree
     # test: a deletable vertex of smaller degree lies in an earlier cell
     if any(c & deletable for c in cells[:ci]):
-        return False, None
+        return False, None, cells
     rivals = cells[ci] & deletable
     if rivals == 1 << vn:
-        return True, None
-    perm, gens = canonical_search(k, rows)
+        return True, None, cells
+    perm, gens = canonical_search(k, rows, cells)
     chosen = min(bits(rivals), key=perm.__getitem__)
-    return orbit_closure(1 << chosen, gens) >> vn & 1 == 1, gens
+    return orbit_closure(1 << chosen, gens) >> vn & 1 == 1, gens, cells
 
 
 def _neighborhoods(
-    k: int, rows: Sequence[int], forced: int, lo: int, hi: int, gens: list | None = None, forced_at: tuple[int, int] = (0, 0)
+    k: int, rows: Sequence[int], forced: int, lo: int, hi: int, gens: list | None = None, forced_at: tuple[int, int] = (0, 0),
+    cells: list[int] | None = None,
 ) -> list[int]:
     """The neighbourhoods a new vertex may take: supersets of ``forced`` with
     ``lo..hi`` members, those with ``forced_at[0]`` members also holding
     every vertex of ``forced_at[1]``, ascending, keeping the least mask of
-    each orbit of the automorphism group of ``rows`` (generated by ``gens``
-    when given).
+    each orbit of the automorphism group of ``rows`` (generated by ``gens``,
+    or searched for from the refined unit partition ``cells``, when given).
 
     Orbits are closed over these masks only, which relies on both forced
     sets and the size window being unions of orbits: the walk defines them
@@ -212,7 +216,7 @@ def _neighborhoods(
             masks += (must | sum(c) for c in combinations(free, s - must.bit_count()))  # distinct bits: sum is union
     masks.sort()
     if gens is None:
-        _, gens = canonical_search(k, rows)  # no generators when refinement is discrete
+        _, gens = canonical_search(k, rows, cells)  # no generators when refinement is discrete
     if not gens:
         return masks
     return [masks[i] for i in orbit_leaders(masks, gens)]
@@ -246,7 +250,9 @@ def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -
     if cons.max_edges is not None and hi * fmd > 2 * cons.max_edges:
         hi = 2 * cons.max_edges // fmd if fmd else 0
 
-    def grow(rows: list[int], m_now: int, gens: list[tuple[int, ...]] | None, deletable: int) -> Iterator[Graph]:
+    def grow(
+        rows: list[int], m_now: int, gens: list[tuple[int, ...]] | None, cells: list[int] | None, deletable: int
+    ) -> Iterator[Graph]:
         k = len(rows)
         planar = not prune or lr_planar_rows(k, rows)
         if k >= lo and min(row.bit_count() for row in rows) >= fmd:
@@ -274,18 +280,18 @@ def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -
         if prune and k >= 2:
             max_sz = min(max_sz, 3 * (k + 1) - 6 - m_now)
         top, least = _degree_cap(rows, deletable)
-        for nb in _neighborhoods(k, rows, forced, max(need, 1 if connected else 0), min(max_sz, top), gens, (top, least)):
+        for nb in _neighborhoods(k, rows, forced, max(need, 1 if connected else 0), min(max_sz, top), gens, (top, least), cells):
             child = [row | (nb >> v & 1) << k for v, row in enumerate(rows)] + [nb]
             # the new vertex is deletable, and so is each parent-deletable one
             # unless it is the new vertex's only neighbour
             known = (deletable & ~nb if nb.bit_count() == 1 else deletable) | 1 << k
             child_deletable = _deletable(child, connected, known)
-            accepted, child_gens = _accepts(child, child_deletable)
+            accepted, child_gens, child_cells = _accepts(child, child_deletable)
             if accepted:
-                yield from grow(child, m_now + nb.bit_count(), child_gens, child_deletable)
+                yield from grow(child, m_now + nb.bit_count(), child_gens, child_cells, child_deletable)
 
     if lo <= hi:
-        yield from grow([0], 0, None, 1)
+        yield from grow([0], 0, None, None, 1)
 
 
 def new_counters(cons: SearchConstraints) -> dict[str, int]:

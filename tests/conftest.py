@@ -239,6 +239,41 @@ def brute_orbit_reps(n: int, gens, items) -> list[int]:
     return sorted({min(index[frozenset(p[v] for v in item)] for p in group) for item in items})
 
 
+def brute_refine(n: int, adj, cells: list[int], work: list[int] | None = None) -> list[int]:
+    """Equitable refinement by the general split for every splitter: each
+    cell's vertices grouped by their number of neighbours in the splitter,
+    subcells by ascending count in place of the cell, and every subcell of a
+    cell that splits queued as a splitter."""
+    cells = list(cells)
+    queue = list(cells if work is None else work)
+    while queue:
+        splitter = queue.pop(0)
+        out = []
+        for cell in cells:
+            groups: dict[int, int] = {}
+            for v in bits(cell):
+                cnt = (adj[v] & splitter).bit_count()
+                groups[cnt] = groups.get(cnt, 0) | 1 << v
+            subs = [groups[cnt] for cnt in sorted(groups)]
+            out += subs
+            if len(subs) > 1:
+                queue += subs
+        cells = out
+    return cells
+
+
+def refines_in_place(fine: list[int], coarse: list[int]) -> bool:
+    """Each cell of ``fine`` lies inside a cell of ``coarse``, and the cells
+    of ``coarse`` they lie in come in the same order."""
+    i = 0
+    for cell in fine:
+        while i < len(coarse) and cell & ~coarse[i]:
+            i += 1
+        if i == len(coarse):
+            return False
+    return True
+
+
 def brute_accepts(g: Graph, connected: bool) -> bool:
     """Canonical-deletion rule by definition, for the newest vertex n-1: a
     vertex is eligible when the others induce a connected graph (any vertex

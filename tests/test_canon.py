@@ -8,14 +8,18 @@ from ecgraphs.canon import (
     automorphism_generators,
     automorphism_orbits,
     canonical_form,
+    canonical_search,
     is_isomorphic,
     orbit_closure,
+    refine_partition,
 )
 from ecgraphs.catalog import named_graph
 from ecgraphs.constructions import paley
+from ecgraphs.ec import line_graph
 from ecgraphs.graph6 import write_graph6
 from ecgraphs.graphs import (
     Graph,
+    bits,
     cartesian_product,
     complete_bipartite,
     complete_graph,
@@ -24,16 +28,18 @@ from ecgraphs.graphs import (
     empty_graph,
     path_graph,
 )
-from ecgraphs.search import enumerate_connected
+from ecgraphs.search import SearchConstraints, enumerate_connected
 
 from conftest import (
     all_labeled_graphs,
     brute_automorphism_count,
     brute_isomorphic,
     brute_orbit_partition,
+    brute_refine,
     group_order,
     random_graph,
     random_permutation,
+    refines_in_place,
 )
 
 # graphs up to isomorphism on 1..6 vertices (published sequence)
@@ -274,6 +280,95 @@ def test_search_tree_sizes_pinned(monkeypatch):
         calls = 0
         canon.canonical_search(g.n, g.adj)
         assert calls == nodes, name
+
+
+def test_search_from_the_refined_unit_partition_matches_search_from_scratch():
+    # a caller that already refined the unit partition hands the cells over;
+    # the labelling and the generators must not depend on who refined them
+    rng = random.Random(0x19)
+    loose = SearchConstraints(require_connected=False)
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n, loose)]
+    # the symmetric families whose canonical forms the benchmark compares
+    families = [complete_graph(8), complete_bipartite(4, 4), empty_graph(8), paley(13), cycle_graph(16),
+                complete_graph(12), complete_bipartite(8, 8), empty_graph(12), paley(49), paley(61), cycle_graph(64)]
+    for n in (3, 4, 5):
+        families += [line_graph(complete_bipartite(n, n))[0], _rook(n)]
+    families += [g.permuted(random_permutation(rng, g.n)) for g in families]
+    for g in graphs + families:
+        cells = refine_partition(g.n, g.adj, [(1 << g.n) - 1])
+        assert canonical_search(g.n, g.adj, cells) == canonical_search(g.n, g.adj), write_graph6(g)
+
+
+def _random_ordered_partition(rng: random.Random, n: int) -> list[int]:
+    """The vertices in random order, cut into random runs of cells."""
+    order = random_permutation(rng, n)
+    cells = []
+    while order:
+        size = rng.randint(1, len(order))
+        cells.append(sum(1 << v for v in order[:size]))
+        order = order[size:]
+    return cells
+
+
+def test_refinement_matches_the_general_split():
+    # a single-vertex splitter splits each cell by one adjacency row; the
+    # cells and their order must be those of the general count-and-group
+    # split, from any ordered partition and any splitter queue
+    rng = random.Random(0x12)
+    for _ in range(1500):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+        kind = rng.randrange(3)
+        if kind < 2:
+            cells = _random_ordered_partition(rng, n)
+            # every cell first, or some cells plus random vertex sets and
+            # single vertices that need not be cells
+            work = None if kind == 0 else (
+                rng.sample(cells, rng.randint(0, len(cells)))
+                + [rng.randrange(1, 1 << n) for _ in range(rng.randrange(3))]
+                + [1 << rng.randrange(n) for _ in range(rng.randrange(3))])
+        else:
+            # individualize a vertex of a cell, as the canonical search does,
+            # of the equitable or of a random partition
+            cells = brute_refine(n, g.adj, [(1 << n) - 1]) if rng.random() < 0.5 else _random_ordered_partition(rng, n)
+            i = rng.randrange(len(cells))
+            low = 1 << rng.choice(list(bits(cells[i])))
+            cells[i:i + 1] = [low, cells[i] ^ low] if cells[i] != low else [low]
+            work = [low]
+        assert refine_partition(n, g.adj, cells, work) == brute_refine(n, g.adj, cells, work), (write_graph6(g), cells, work)
+
+
+def test_refinement_stops_only_once_a_vertex_of_the_mask_precedes():
+    # refinement with stop=(v, mask) gives the full refinement unless a
+    # vertex of mask ends up before v's cell; if it stops, one already
+    # precedes v's cell, and the full refinement splits the cells in place
+    rng = random.Random(0x5709)
+    stopped = 0
+    for _ in range(1500):
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+        v = rng.randrange(n)
+        mask = rng.randrange(1 << n)
+        # no vertex may precede v's cell at the start: it comes first
+        cells = _random_ordered_partition(rng, n) if rng.random() < 0.5 else [(1 << n) - 1]
+        cells.sort(key=lambda c: not c >> v & 1)
+        full = brute_refine(n, g.adj, cells)
+        got = refine_partition(n, g.adj, cells, None, (v, mask))
+        assert refines_in_place(full, got), (write_graph6(g), cells, v, mask)
+        if got != full:
+            stopped += 1
+            assert _before(got, v) & mask, (write_graph6(g), cells, v, mask)
+    assert stopped > 100
+
+
+def _before(cells: list[int], v: int) -> int:
+    """The vertices in the cells before v's."""
+    out = 0
+    for cell in cells:
+        if cell >> v & 1:
+            return out
+        out |= cell
+    raise ValueError(v)
 
 
 def _brute_group(n: int, gens) -> set:

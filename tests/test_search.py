@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from ecgraphs import search
+from ecgraphs import canon, search
 from ecgraphs.canon import canonical_form, canonical_search, degree_triangle_invariant
 from ecgraphs.catalog import planar_two_line_ec_graphs
 from ecgraphs.ec import is_n_ec
@@ -32,6 +32,7 @@ from conftest import (
     random_connected_graph,
     random_graph,
     random_permutation,
+    refines_in_place,
 )
 
 # published census: connected graphs and all graphs up to isomorphism
@@ -117,11 +118,27 @@ def _deletion_cases(graphs, connected: bool):
             yield g.permuted(perm)
 
 
-def test_accepts_matches_canonical_deletion_rule():
+def test_accepts_matches_canonical_deletion_rule(monkeypatch):
+    # _accepts may stop refining once a deletable vertex precedes the newest
+    # vertex's cell: the full refinement must refine the stopped cells in
+    # place, and a child whose refinement stopped must be rejected
+    refine = search.refine_partition
+    seen = []
+    monkeypatch.setattr(search, "refine_partition", lambda *args: seen.append(refine(*args)) or seen[-1])
+    stopped = {True: 0, False: 0}
+
     def check(graphs, connected):
         cases = 0
         for h in _deletion_cases(graphs, connected):
-            assert search._accepts(list(h.adj), _deletable(h, connected))[0] == brute_accepts(h, connected), write_graph6(h)
+            seen.clear()
+            accepted = search._accepts(list(h.adj), _deletable(h, connected))[0]
+            assert accepted == brute_accepts(h, connected), write_graph6(h)
+            (cells,) = seen
+            full = refine(h.n, h.adj, [(1 << h.n) - 1])
+            assert refines_in_place(full, cells), write_graph6(h)
+            if cells != full:
+                assert not accepted, write_graph6(h)
+                stopped[connected] += 1
             cases += 1
         return cases
 
@@ -132,11 +149,19 @@ def test_accepts_matches_canonical_deletion_rule():
     # vertices are cut vertices in the equitable cell of the triangles'
     # degree-2 vertices, and one of them has the cell's least canonical label
     two_triangles = Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)])
-    check([TWO_K4, two_triangles], True)
+    # K4 and K5 hung on a cut vertex of degree 2: the cut vertex precedes the
+    # K4's deletable vertices, which acceptance picks, and the degree cells
+    # are not yet equitable, so refinement must not stop for it
+    k4_k5 = Graph.from_edges(
+        10, [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        + [(a, b) for a in range(4, 9) for b in range(a + 1, 9)] + [(0, 9), (4, 9)]
+    )
+    check([TWO_K4, two_triangles, k4_k5], True)
     rng = random.Random(5)
     check([random_connected_graph(rng, rng.randint(8, 10), rng.uniform(0.1, 0.6)) for _ in range(400)], True)
     loose = SearchConstraints(require_connected=False)
     assert check([g for n in range(2, 7) for g in enumerate_connected(n, loose)], False) == 1166
+    assert stopped[True] and stopped[False]
 
 
 def test_neighborhoods_match_brute_orbits():
@@ -216,6 +241,34 @@ def test_walk_hands_every_child_its_exact_deletable_mask(monkeypatch):
     for n in range(1, 7):
         assert sum(1 for _ in enumerate_connected(n, loose)) == ALL_COUNTS[n - 1]
     assert checked[True] and checked[False]
+
+
+def test_walk_refines_each_graph_from_the_unit_partition_once(monkeypatch):
+    # _accepts refines each candidate child from the unit partition and hands
+    # its cells to canonical_search and, for an accepted child with no rival,
+    # through the walk to the child's _neighborhoods; beyond those, only K1
+    # and the canonical form of each survivor start from the unit partition
+    refine = canon.refine_partition
+    accepts = search._accepts
+    unit = accepts_calls = 0
+
+    def counting(n, adj, cells, *rest):
+        nonlocal unit
+        unit += cells == [(1 << n) - 1]
+        return refine(n, adj, cells, *rest)
+
+    def counting_accepts(rows, deletable):
+        nonlocal accepts_calls
+        accepts_calls += 1
+        return accepts(rows, deletable)
+
+    monkeypatch.setattr(canon, "refine_partition", counting)
+    monkeypatch.setattr(search, "refine_partition", counting)
+    monkeypatch.setattr(search, "_accepts", counting_accepts)
+    for name in search.NAMED_SEARCHES:
+        unit = accepts_calls = 0
+        report = run_named_search(name, 7)
+        assert accepts_calls and unit == accepts_calls + 1 + len(report.survivors), name
 
 
 def test_neighborhoods_with_a_forced_size_match_brute_orbits():
