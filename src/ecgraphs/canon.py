@@ -219,7 +219,11 @@ def degree_triangle_invariant(g: Graph) -> tuple:
     triples = []
     for v, row in enumerate(adj):
         nsum = paired = 0
-        for u in bits(row):
+        rest = row
+        while rest:  # bits(row) inline: this runs on every line ``filter`` reads
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
             nsum += deg[u]
             paired += (adj[u] & row).bit_count()
         # each triangle through v is seen once from each of its two other ends

@@ -5,7 +5,8 @@ every split of every n-subset of items into (A, B), is there an item outside
 the subset adjacent to everything in A and nothing in B?  In vertex mode the
 items are vertices and the bitsets are the graph's rows; in line mode the
 items are graph edges or hyperedges, two of them adjacent when they share a
-vertex, and ``line_adjacency`` builds the bitsets for both.  The bitsets are
+vertex: ``graph_line_adjacency`` builds the bitsets of graph edges in one walk
+over the rows, and ``line_adjacency`` those of hyperedges.  The bitsets are
 arbitrary-width ints, so line mode never materializes a line graph and is not
 bound by the 64-vertex cap.  One split search, ``_ec_split_search``, decides
 every level in every mode, and ``xi``/``xi_line`` ascend through it.
@@ -128,7 +129,7 @@ def _first_failure(
     cell's rows into ``meet`` and AND-ing ``row | bit(v)`` into ``common``
     marks every such j at once.  That reads j's neighbours off the rows of
     the cell members, so the adjacency must be symmetric and loop-free, as
-    ``Graph`` rows and ``line_adjacency`` output are.
+    ``Graph`` rows and line adjacencies are.
     """
     full = (1 << count) - 1
     for prefix in prefixes:
@@ -262,8 +263,9 @@ def vertex_stars(items: Sequence[Sequence[int]], n: int) -> list[int]:
 def line_adjacency(items: Sequence[Sequence[int]], n: int) -> list[int]:
     """Per-item bitsets over item indices: bit j of entry i set iff items i and j meet.
 
-    Items are vertex tuples (graph edges or hyperedges) over 0..n-1, listed in
-    the order their indices take in certificates and line graphs.
+    Items are vertex tuples over 0..n-1 (hyperedges; graph edges go through
+    ``graph_line_adjacency``), listed in the order their indices take in
+    certificates and line graphs.
     """
     stars = vertex_stars(items, n)
     out = []
@@ -275,25 +277,50 @@ def line_adjacency(items: Sequence[Sequence[int]], n: int) -> list[int]:
     return out
 
 
+def graph_line_adjacency(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
+    """``g.edges()`` and ``line_adjacency(g.edges(), g.n)``, from one walk
+    over the rows.
+
+    Each edge (u, v), u < v, takes the next index in lexicographic order and
+    sets its bit in the stars of u and v.  Two edges of a simple graph share
+    at most one vertex, so star(u) & star(v) is the edge uv alone and its
+    line row is star(u) ^ star(v).
+    """
+    edges = []
+    stars = [0] * g.n
+    for u, row in enumerate(g.adj):
+        above = row >> u >> 1
+        v = u
+        while above:
+            step = (above & -above).bit_length()
+            above >>= step
+            v += step
+            bit = 1 << len(edges)
+            edges.append((u, v))
+            stars[u] |= bit
+            stars[v] |= bit
+    return edges, [stars[u] ^ stars[v] for u, v in edges]
+
+
 def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Line graph of g plus the vertex->edge map (edges in lexicographic order)."""
-    edges = g.edges()
+    edges, adjacency = graph_line_adjacency(g)
     m = len(edges)
     if m == 0:
         raise GraphError("line graph of an edgeless graph is empty")
     if m > MAX_VERTICES:
         raise GraphError(f"line graph would have {m} > {MAX_VERTICES} vertices")
-    return Graph(m, tuple(line_adjacency(edges, g.n))), tuple(edges)
+    return Graph(m, tuple(adjacency)), tuple(edges)
 
 
 def is_n_line_ec(g: Graph, n: int) -> EcVerdict:
     """Decide whether g is n-line existentially closed (over edges)."""
-    edges = g.edges()
+    edges, adjacency = graph_line_adjacency(g)
     m = len(edges)
     if not 1 <= n <= m:
         raise GraphError(f"level must be 1..{m} for this graph, got {n}" if m
                          else "this graph has no edges, so no line level applies")
-    return _verdict(n, _ec_split_search(line_adjacency(edges, g.n), m, n, _graph_reps(g, edges)), edges)
+    return _verdict(n, _ec_split_search(adjacency, m, n, _graph_reps(g, edges)), edges)
 
 
 def xi_line(g: Graph) -> int:
@@ -302,8 +329,8 @@ def xi_line(g: Graph) -> int:
     Every level, the third included, is decided by the one split search over
     one adjacency list; the theorem that the value never exceeds 2 is asserted.
     """
-    edges = g.edges()
-    level = _closure_number(line_adjacency(edges, g.n), len(edges), _graph_reps(g, edges))
+    edges, adjacency = graph_line_adjacency(g)
+    level = _closure_number(adjacency, len(edges), _graph_reps(g, edges))
     if level > 2:
         raise AssertionError(f"graph found {level}-line e.c.; levels beyond 2 are impossible")
     return level

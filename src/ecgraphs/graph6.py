@@ -80,7 +80,9 @@ def parse_graph6(text: str) -> Graph:
         i, j = _PAIRS[nbits - low.bit_length()]
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    # n is in 1..64 and each set pair i < j < n sets both of its bits, so the
+    # rows are symmetric, loop-free and in range without a re-check
+    return Graph._trusted(n, tuple(rows))
 
 
 def write_graph6(g: Graph) -> str:

@@ -30,7 +30,8 @@ class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbour set of v as a bitmask.
 
     Rows are validated to be symmetric, loop-free and within range, so every
-    constructed Graph is a simple graph by representation.  Instances are
+    constructed Graph is a simple graph by representation; ``_trusted``
+    skips the check for rows that are valid by construction.  Instances are
     immutable and safe to share between threads or processes.
     """
 
@@ -52,6 +53,18 @@ class Graph:
             for u in bits(row):
                 if not self.adj[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {v} and {u}")
+
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A Graph built without the re-check of ``__post_init__``, for rows
+        that are valid by construction: 1 <= n <= 64, one row per vertex,
+        and the rows symmetric, loop-free and below bit n.  Input from
+        outside the program goes through ``Graph(n, adj)``."""
+        g = object.__new__(cls)
+        d = g.__dict__
+        d["n"] = n
+        d["adj"] = adj
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -257,7 +257,7 @@ def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -
         planar = not prune or lr_planar_rows(k, rows)
         if k >= lo and min(row.bit_count() for row in rows) >= fmd:
             counters["generated"] += 1
-            g = Graph(k, tuple(rows))
+            g = Graph._trusted(k, tuple(rows))  # grown from K1: bit k of row v is bit v of row k
             if not planar:
                 counters["planar"] += 1
             elif _survives(g, chain, counters):

@@ -9,6 +9,7 @@ from ecgraphs.ec import (
     EcVerdict,
     _ec_split_search,
     _verdict,
+    graph_line_adjacency,
     is_n_ec,
     is_n_line_ec,
     line_adjacency,
@@ -147,6 +148,16 @@ def test_line_graph_adjacency_matches_edge_intersection():
             if i != j:
                 expected = bool(set(emap[i]) & set(emap[j]))
                 assert lg.has_edge(i, j) == expected
+
+
+def test_graph_line_adjacency_matches_edges_then_line_adjacency(rng):
+    inputs = [complete_graph(1), empty_graph(9), complete_graph(64)]
+    inputs += [random_graph(rng, rng.randrange(1, 65), rng.choice([0.05, 0.3, 0.7])) for _ in range(60)]
+    for g in inputs:
+        edges = g.edges()
+        assert graph_line_adjacency(g) == (edges, line_adjacency(edges, g.n))
+    edges, adjacency = graph_line_adjacency(complete_graph(64))
+    assert len(edges) == 2016 and all(row.bit_count() == 2 * 62 for row in adjacency)
 
 
 def test_line_graph_errors():

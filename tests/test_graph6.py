@@ -98,3 +98,42 @@ def test_long_size_field_refusals():
     with pytest.raises(Graph6Error, match="beyond 18 bits") as exc:
         parse_graph6("~~??????")
     assert exc.value.offset == 1
+
+
+def test_decoded_rows_equal_the_validated_graph(rng):
+    # parse_graph6 builds its Graph without the constructor's re-check, so the
+    # decoder itself must set both bits of every pair and nothing at or above n
+    for n in range(1, 65):
+        pad = -(n * (n - 1) // 2) % 6
+        graphs = [random_graph(rng, n, p) for p in (0.1, 0.5, 0.9)] + [complete_graph(n)]
+        for g in graphs:
+            text = write_graph6(g)
+            if n >= 63:
+                assert text.startswith("~")
+            texts = [text] + ([text[:-1] + chr(ord(text[-1]) | (1 << pad) - 1)] if pad else [])
+            for t in texts:
+                back = parse_graph6(t)
+                assert back == Graph(back.n, back.adj) == Graph(g.n, g.adj), (n, t)
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("", "empty graph6 string", 0),
+    (">>graph6<<", "empty graph6 string", 10),
+    ("C\x07", "byte 7 outside the printable range 63..126", 1),
+    ("C\x7f", "byte 127 outside the printable range 63..126", 1),
+    ("A_ _", "byte 32 outside the printable range 63..126", 2),
+    ("~??", "truncated long size field", 3),
+    ("~~??????", "graph6 sizes beyond 18 bits are not supported", 1),
+    (">>graph6<<~~??????", "graph6 sizes beyond 18 bits are not supported", 11),
+    ("?", "graphs need at least one vertex", 0),
+    ("~?AA", "130 vertices exceeds the 64-vertex limit", 0),
+    ("C", "expected 1 data bytes for n=4, got 0", 1),
+    ("C~~", "expected 1 data bytes for n=4, got 2", 2),
+    (">>graph6<<C~~", "expected 1 data bytes for n=4, got 2", 12),
+    ("D~~~", "expected 2 data bytes for n=5, got 3", 3),
+])
+def test_malformed_lines_keep_their_message_and_offset(text, message, offset):
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6(text)
+    assert str(exc.value) == f"{message} (byte offset {offset})"
+    assert exc.value.offset == offset

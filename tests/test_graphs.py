@@ -45,6 +45,13 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 3)])
 
 
+def test_trusted_construction_equals_the_validated_graph(rng):
+    for n in (1, 2, 7, 64):
+        for g in (random_graph(rng, n, 0.5), complete_graph(n), empty_graph(n)):
+            trusted = Graph._trusted(g.n, g.adj)
+            assert trusted == g and hash(trusted) == hash(g) and repr(trusted) == repr(g)
+
+
 def test_induced_refuses_out_of_range_vertices():
     p4 = path_graph(4)
     assert p4.induced([3, 2]).adj == (2, 1)

@@ -46,6 +46,15 @@ def test_connected_counts():
         assert sum(1 for _ in enumerate_connected(n)) == expected
 
 
+def test_walk_graphs_equal_the_validated_graph():
+    # the walk builds each counted graph without the constructor's re-check
+    loose = SearchConstraints(require_connected=False)
+    for n in range(1, 7):
+        for cons in (None, loose):
+            for g in enumerate_connected(n, cons):
+                assert g == Graph(g.n, g.adj)
+
+
 @pytest.mark.slow
 def test_connected_count_order_nine():
     assert sum(1 for _ in enumerate_connected(9)) == 261080  # OEIS A001349
