@@ -107,6 +107,10 @@ def _add_constraint_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each leaf subcommand names its handler as ``run``, which
+    returns the exit code (None for 0).  Handlers look up the program's
+    functions when they run, so a caller that swaps a module attribute (a
+    tracer, a test) sees its own function called."""
     parser = argparse.ArgumentParser(prog="ecgraphs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -114,31 +118,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("vertex", "line", "hyper"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("input", nargs="?", default="-")
+    p.set_defaults(run=_cmd_check)
 
-    for name in ("xi", "line-xi"):
-        p = sub.add_parser(name, help="largest holding closure level")
-        p.add_argument("input", nargs="?", default="-")
+    p = sub.add_parser("xi", help="largest holding closure level")
+    p.add_argument("input", nargs="?", default="-")
+    p.set_defaults(run=lambda a: _emit({"value": xi(_read_graph(a.input))}))
+    p = sub.add_parser("line-xi", help="largest holding closure level")
+    p.add_argument("input", nargs="?", default="-")
+    p.set_defaults(run=lambda a: _emit({"value": xi_line(_read_graph(a.input))}))
 
     p = sub.add_parser("linegraph", help="emit the line graph as graph6")
     p.add_argument("input", nargs="?", default="-")
+    p.set_defaults(run=lambda a: print(write_graph6(line_graph(_read_graph(a.input))[0])))
 
     p = sub.add_parser("construct", help="closure-preserving constructions")
     csub = p.add_subparsers(dest="construction", required=True)
     c = csub.add_parser("cone")
     c.add_argument("input", nargs="?", default="-")
+    c.set_defaults(run=lambda a: print(write_graph6(cone(_read_graph(a.input)))))
     c = csub.add_parser("join")
     c.add_argument("input", nargs="?", default="-", help="file with two graph6 lines")
+    c.set_defaults(run=lambda a: print(write_graph6(join(*_read_graphs(a.input, 2)))))
     c = csub.add_parser("join-indep")
     c.add_argument("--s", type=int, required=True)
     c.add_argument("input", nargs="?", default="-")
+    c.set_defaults(run=lambda a: print(write_graph6(join_independent(_read_graph(a.input), a.s))))
     c = csub.add_parser("multipartite")
     c.add_argument("parts", type=int, nargs="+")
+    c.set_defaults(run=lambda a: print(write_graph6(complete_multipartite(a.parts))))
     c = csub.add_parser("family")
     c.add_argument("name")
     c.add_argument("params", type=int, nargs="*")
+    c.set_defaults(run=lambda a: print(write_graph6(standard_family(a.name, a.params))))
 
     p = sub.add_parser("paley", help="Paley graph on GF(q)")
     p.add_argument("--q", type=int, required=True)
+    p.set_defaults(run=lambda a: print(write_graph6(paley(a.q))))
 
     p = sub.add_parser("hyper", help="hypergraph constructions and checks")
     hsub = p.add_subparsers(dest="hyper_command", required=True)
@@ -146,23 +161,29 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--x", type=int, required=True)
     h.add_argument("--y", type=int, required=True)
     h.add_argument("--k", type=int, required=True)
+    h.set_defaults(run=lambda a: print(format_hypergraph(crossing_hypergraph(a.x, a.y, a.k)), end=""))
     h = hsub.add_parser("star-dual")
     h.add_argument("input", nargs="?", default="-", help="graph6 input")
+    h.set_defaults(run=lambda a: print(format_hypergraph(star_dual(_read_graph(a.input))), end=""))
     h = hsub.add_parser("cross-join")
     h.add_argument("--k", type=int, required=True)
     h.add_argument("first")
     h.add_argument("second")
+    h.set_defaults(run=lambda a: print(format_hypergraph(
+        cross_join_hypergraphs(_read_hypergraph(a.first), _read_hypergraph(a.second), a.k)), end=""))
     h = hsub.add_parser("check")
-    h.set_defaults(mode="hyper")  # the same handler as check --mode hyper
+    h.set_defaults(run=_cmd_check, mode="hyper")  # the same handler as check --mode hyper
     h.add_argument("--n", type=int, required=True)
     h.add_argument("input", nargs="?", default="-")
 
     p = sub.add_parser("planar", help="planarity decision")
     p.add_argument("input", nargs="?", default="-")
+    p.set_defaults(run=lambda a: _emit({"planar": is_planar(_read_graph(a.input))}))
 
     p = sub.add_parser("enumerate", help="isomorph-free exhaustive generation")
     p.add_argument("--order", type=int, required=True)
     _add_constraint_flags(p)
+    p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("search", help="named classification searches")
     p.add_argument("--name", required=True, choices=[n.replace("_", "-") for n in NAMED_SEARCHES])
@@ -174,12 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="does nothing; kept so old scripts run (every search runs in one process)",
     )
     p.add_argument("--format", choices=("json", "lines"), default="json")
+    p.set_defaults(run=lambda a: _report_out(run_named_search(a.name, a.max_order), a.format))
 
     p = sub.add_parser("filter", help="filter a graph6 stream through constraints")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--format", choices=("json", "lines"), default="json")
     _add_constraint_flags(p)
+    p.set_defaults(run=_cmd_filter)
 
     return parser
 
@@ -195,87 +218,33 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if verdict.holds else 1
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.construction == "cone":
-        out = cone(_read_graph(args.input))
-    elif args.construction == "join":
-        g1, g2 = _read_graphs(args.input, 2)
-        out = join(g1, g2)
-    elif args.construction == "join-indep":
-        out = join_independent(_read_graph(args.input), args.s)
-    elif args.construction == "multipartite":
-        out = complete_multipartite(args.parts)
-    else:
-        out = standard_family(args.name, args.params)
-    print(write_graph6(out))
-    return 0
+def _cmd_enumerate(args: argparse.Namespace) -> None:
+    for g in enumerate_connected(args.order, _constraints_from_args(args)):
+        print(canonical_form(g))
 
 
-def _cmd_hyper(args: argparse.Namespace) -> int:
-    if args.hyper_command == "crossing":
-        print(format_hypergraph(crossing_hypergraph(args.x, args.y, args.k)), end="")
-    elif args.hyper_command == "star-dual":
-        print(format_hypergraph(star_dual(_read_graph(args.input))), end="")
-    elif args.hyper_command == "cross-join":
-        h1 = _read_hypergraph(args.first)
-        h2 = _read_hypergraph(args.second)
-        print(format_hypergraph(cross_join_hypergraphs(h1, h2, args.k)), end="")
-    else:
-        return _cmd_check(args)
-    return 0
+def _cmd_filter(args: argparse.Namespace) -> None:
+    cons = _constraints_from_args(args)
+    with _open_text(args.input) as fh:
+        report = filter_stream(fh, cons, lenient=args.lenient)  # one line at a time
+    _report_out(report, args.format)
 
 
 def _report_out(report, fmt: str) -> None:
+    """The report as JSON, or its survivors one per line with each lenient
+    error record written to stderr as a warning."""
     if fmt == "json":
         _emit(report.to_json())
-    else:
-        for line in report.survivors:
-            print(line)
+        return
+    for line in report.survivors:
+        print(line)
+    for err in report.errors:
+        print(f"ecgraphs: warning: line {err['line']}: {err['message']}", file=sys.stderr)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cmd = args.command
-
-    if cmd == "check":
-        return _cmd_check(args)
-    if cmd == "xi":
-        _emit({"value": xi(_read_graph(args.input))})
-        return 0
-    if cmd == "line-xi":
-        _emit({"value": xi_line(_read_graph(args.input))})
-        return 0
-    if cmd == "linegraph":
-        lg, _ = line_graph(_read_graph(args.input))
-        print(write_graph6(lg))
-        return 0
-    if cmd == "construct":
-        return _cmd_construct(args)
-    if cmd == "paley":
-        print(write_graph6(paley(args.q)))
-        return 0
-    if cmd == "hyper":
-        return _cmd_hyper(args)
-    if cmd == "planar":
-        _emit({"planar": is_planar(_read_graph(args.input))})
-        return 0
-    if cmd == "enumerate":
-        cons = _constraints_from_args(args)
-        for g in enumerate_connected(args.order, cons):
-            print(canonical_form(g))
-        return 0
-    if cmd == "search":
-        report = run_named_search(args.name, args.max_order)
-        _report_out(report, args.format)
-        return 0
-    if cmd == "filter":
-        cons = _constraints_from_args(args)
-        with _open_text(args.input) as fh:
-            report = filter_stream(fh, cons, lenient=args.lenient)  # one line at a time
-        _report_out(report, args.format)
-        return 0
-    raise ValueError(f"unknown command {cmd!r}")  # unreachable
+    args = build_parser().parse_args(argv)
+    return args.run(args) or 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

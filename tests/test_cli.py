@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import tracemalloc
@@ -6,7 +7,7 @@ import pytest
 
 from ecgraphs.canon import canonical_form
 from ecgraphs.catalog import planar_two_line_ec_graphs
-from ecgraphs.cli import main
+from ecgraphs.cli import build_parser, main
 from ecgraphs.constructions import paley
 from ecgraphs.graph6 import parse_graph6, write_graph6
 from ecgraphs.graphs import (
@@ -146,6 +147,30 @@ def test_hyper_check_exit_codes(capsys, tmp_path):
     assert code == 1 and json.loads(out)["holds"] is False
 
 
+def _leaves(parser, path=()):
+    """(command path, parser) for every subcommand that takes no subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+def test_every_leaf_subcommand_names_its_handler(capsys, tmp_path):
+    leaves = dict(_leaves(build_parser()))
+    assert len(leaves) == 18 and ("hyper", "check") in leaves
+    for command, leaf in leaves.items():
+        assert callable(leaf.get_default("run")), command
+    # hyper check and check --mode hyper share one handler
+    for x, expected in ((3, 0), (2, 1)):
+        path = tmp_path / f"h{x}.txt"
+        path.write_text(format_hypergraph(crossing_hypergraph(x, x, 2)))
+        hyper = run_cli(capsys, "hyper", "check", "--n", "2", str(path))
+        assert hyper[0] == expected
+        assert run_cli(capsys, "check", "--mode", "hyper", "--n", "2", str(path)) == hyper
+
+
 def test_planar(capsys, tmp_path):
     path = tmp_path / "k5.g6"
     path.write_text(write_graph6(complete_graph(5)) + "\n")
@@ -269,6 +294,15 @@ def test_filter_lenient(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "filter", str(stream), "--lenient")
     payload = json.loads(out)
     assert code == 0 and payload["errors"][0]["line"] == 2
+
+
+def test_filter_lenient_lines_warns_on_stderr(capsys, tmp_path):
+    # with no report printed, each error record goes to stderr as a warning
+    stream = tmp_path / "in.g6"
+    stream.write_bytes(b"C~\n\x01junk\nBw\n")
+    code, out, err = run_cli(capsys, "filter", "--lenient", "--format", "lines", str(stream))
+    assert code == 0 and out.split() == ["Bw", "C~"]
+    assert err == "ecgraphs: warning: line 2: byte 1 outside the printable range 63..126 (byte offset 0)\n"
 
 
 def test_filter_strict_malformed_exits_two(capsys, tmp_path):
