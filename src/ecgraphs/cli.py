@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import Sequence
@@ -102,15 +103,19 @@ def _add_constraint_flags(sub: argparse.ArgumentParser) -> None:
         "--predicate",
         action="append",
         metavar="NAME",
-        help="final filter, cheapest first: planar, two_line_ec, two_ec, connected, edge_count=M",
+        help="final filter, cheapest first: planar, two_k2_free, two_line_ec, two_ec, connected, edge_count=M",
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser; each leaf subcommand names its handler as ``run``, which
+    """The parser, built once per process and shared, so no caller may
+    change it; each leaf subcommand names its handler as ``run``, which
     returns the exit code (None for 0).  Handlers look up the program's
     functions when they run, so a caller that swaps a module attribute (a
-    tracer, a test) sees its own function called."""
+    tracer, a test) sees its own function called.  No argument has a
+    mutable default (``--predicate`` appends to a fresh list on each
+    parse), so parses share nothing."""
     parser = argparse.ArgumentParser(prog="ecgraphs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,6 +16,7 @@ from .graphs import MAX_VERTICES, Graph
 HEADER = ">>graph6<<"
 SPACE = " \t\n\r\v\f"  # stripped from lines: ASCII only, so other bytes get named
 _PAIRS = [(i, j) for j in range(MAX_VERTICES) for i in range(j)]  # column-major: pair t of the body
+_REVERSED = [chr(63 + int(f"{x:06b}"[::-1], 2)) for x in range(64)]  # a group's body byte, its bits read low first
 
 
 class Graph6Error(ValueError):
@@ -90,22 +91,18 @@ def write_graph6(g: Graph) -> str:
 
 
 def encode_graph6(n: int, adj: Sequence[int]) -> str:
-    """graph6 text of adjacency rows that are already known to be a simple graph."""
+    """graph6 text of adjacency rows that are already known to be a simple graph.
+
+    The body is built as one int whose bit t is pair t: column j's pairs
+    (i, j), i < j, start at bit j(j-1)/2 and are the low j bits of row j.
+    Each 6-bit group is then read lowest bit first, as its first pair is the
+    group's high bit, through the bit-reversal table."""
     if n <= 62:
         head = chr(63 + n)
     else:
         head = chr(126) + chr(63 + (n >> 12)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
-    chunks = []
-    acc = 0
-    nbits = 0
+    val = 0
     for j in range(1, n):
-        for i in range(j):
-            acc = acc << 1 | (adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                chunks.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        chunks.append(chr(63 + (acc << (6 - nbits))))
-    return head + "".join(chunks)
+        val |= (adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    nbits = n * (n - 1) // 2
+    return head + "".join([_REVERSED[val >> s & 63] for s in range(0, nbits, 6)])

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .canon import canonical_form, canonical_search, degree_triangle_invariant, orbit_closure, orbit_leaders, refine_partition
 from .ec import is_n_ec, is_n_line_ec
 from .graph6 import Graph6Error, numbered_lines, parse_graph6
-from .graphs import Graph, bits, is_connected, _reach
+from .graphs import Graph, bits, has_induced_2k2, is_connected, _reach
 from .planarity import is_planar, lr_planar_rows
 
 MAX_SEARCH_ORDER = 12
@@ -93,7 +93,15 @@ class SearchReport:
 
 
 def _pred_two_line_ec(g: Graph) -> bool:
-    return g.edge_count() >= 2 and is_n_line_ec(g, 2).holds
+    """``is_n_line_ec(g, 2).holds`` on a graph with at least two edges.
+
+    A graph with an induced 2K2 (so with two edges) is refused without the
+    split search.  Let e = ab and f = cd be disjoint edges with no edge
+    between them.  The split A = {e, f}, B = {} needs an edge that meets
+    both e and f, and such an edge would join {a, b} to {c, d}.  Only the
+    verdict is read here, so it does not matter that this split need not be
+    the first failing one."""
+    return not has_induced_2k2(g.adj) and g.edge_count() >= 2 and is_n_line_ec(g, 2).holds
 
 
 def _pred_two_ec(g: Graph) -> bool:
@@ -109,6 +117,8 @@ def predicate_functions(names: Sequence[str]) -> _Chain:
             out.append((name, is_planar))
         elif name == "two_line_ec":
             out.append((name, _pred_two_line_ec))
+        elif name == "two_k2_free":
+            out.append((name, lambda g: not has_induced_2k2(g.adj)))
         elif name == "two_ec":
             out.append((name, _pred_two_ec))
         elif name == "connected":

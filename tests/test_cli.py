@@ -11,11 +11,13 @@ from ecgraphs.cli import build_parser, main
 from ecgraphs.constructions import paley
 from ecgraphs.graph6 import parse_graph6, write_graph6
 from ecgraphs.graphs import (
+    Graph,
     cartesian_product,
     complete_bipartite,
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    path_graph,
 )
 from ecgraphs.hypergraphs import crossing_hypergraph, format_hypergraph
 
@@ -226,6 +228,30 @@ def test_filter(capsys, tmp_path):
     assert code == 0
     assert payload["counts"]["per_filter_rejected"]["planar"] == 2  # K33 and K5
     assert payload["survivors"] == []
+
+
+def test_filter_two_k2_free(capsys, tmp_path):
+    # 2K2, P5 and C6 hold an induced 2K2; P4, C5, K3,3 and K5 do not
+    stream = tmp_path / "in.g6"
+    graphs = [Graph.from_edges(4, [(0, 1), (2, 3)]), path_graph(5), cycle_graph(6),
+              path_graph(4), cycle_graph(5), complete_bipartite(3, 3), complete_graph(5)]
+    stream.write_text("".join(write_graph6(g) + "\n" for g in graphs))
+    code, out, _ = run_cli(capsys, "filter", "--allow-disconnected", "--predicate", "two_k2_free", str(stream))
+    payload = json.loads(out)
+    assert code == 0 and payload["counts"]["per_filter_rejected"] == {"two_k2_free": 3}
+    assert payload["survivors"] == sorted(canonical_form(g) for g in graphs[3:])
+
+
+def test_consecutive_calls_share_no_arguments(capsys, tmp_path):
+    # the parser is built once per process: each call's --predicate list is its own
+    stream = tmp_path / "in.g6"
+    stream.write_text("\n".join([K33_LINE, write_graph6(complete_graph(5)), write_graph6(cycle_graph(6))]) + "\n")
+    reports = [
+        json.loads(run_cli(capsys, "filter", *argv, str(stream))[1])["counts"]["per_filter_rejected"]
+        for argv in (["--predicate", "planar"], ["--predicate", "two_line_ec"], [], ["--predicate", "planar"])
+    ]
+    assert reports == [{"planar": 2}, {"two_line_ec": 2}, {}, {"planar": 2}]
+    assert build_parser() is build_parser()
 
 
 def test_filter_streams_its_input(capsys, tmp_path):

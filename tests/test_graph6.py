@@ -1,6 +1,6 @@
 import pytest
 
-from ecgraphs.graph6 import Graph6Error, parse_graph6, write_graph6
+from ecgraphs.graph6 import Graph6Error, encode_graph6, parse_graph6, write_graph6
 from ecgraphs.graphs import Graph, complete_graph, empty_graph
 
 from conftest import all_labeled_graphs, random_graph
@@ -68,6 +68,26 @@ def test_long_size_form():
         assert text.startswith("~")
         back = parse_graph6(text)
         assert back.n == n and back.adj == g.adj
+
+
+def _bitwise_graph6(n: int, adj) -> str:
+    """Reference encoder: one body bit per pair in column-major order, six to
+    a byte, high bit first, the last byte padded with zeros."""
+    head = chr(63 + n) if n <= 62 else chr(126) + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    body = [adj[i] >> j & 1 for j in range(1, n) for i in range(j)]
+    body += [0] * (-len(body) % 6)
+    return head + "".join(chr(63 + int("".join(map(str, body[t : t + 6])), 2)) for t in range(0, len(body), 6))
+
+
+def test_encoder_matches_the_bitwise_reference(rng):
+    # seeded random graphs of three densities for every n = 1..64 (the long
+    # size form at 63 and 64), and K_n and E_n for each n
+    for n in range(1, 65):
+        graphs = [random_graph(rng, n, p) for p in (0.1, 0.5, 0.9)] + [complete_graph(n), empty_graph(n)]
+        for g in graphs:
+            text = encode_graph6(g.n, g.adj)
+            assert text == _bitwise_graph6(g.n, g.adj), (n, g.adj)
+            assert write_graph6(g) == text and parse_graph6(text) == g
 
 
 def test_malformed_length_reports_offset():

@@ -19,11 +19,13 @@ from ecgraphs.graphs import (
     cycle_graph,
     diameter,
     empty_graph,
+    has_induced_2k2,
     path_graph,
     standard_family,
 )
+from ecgraphs.search import SearchConstraints, enumerate_connected
 
-from conftest import random_graph
+from conftest import random_graph, random_permutation
 
 
 TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -172,6 +174,41 @@ def test_contains_induced_rook_c4():
             found = True
             break
     assert found
+
+
+def _random_split_graph(rng, n: int) -> Graph:
+    """A clique on a random part of 0..n-1, an independent set on the rest,
+    random edges between them: split graphs have no induced 2K2."""
+    clique = rng.randrange(n + 1)
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, n) if v < clique or rng.random() < 0.5]
+    return Graph.from_edges(n, edges)
+
+
+def test_induced_2k2_kernel_matches_contains_induced(rng):
+    # every graph on <= 7 vertices, connected or not, as listed and relabelled
+    found = free = 0
+    for n in range(1, 8):
+        for g in enumerate_connected(n, SearchConstraints(require_connected=False)):
+            for h in (g, g.permuted(random_permutation(rng, n))):
+                expected = contains_induced(h, TWO_K2)
+                assert has_induced_2k2(h.adj) == expected, h.adj
+                found += expected
+                free += not expected
+    assert (found, free) == (2 * 666, 2 * 586)  # 1,252 graphs, 586 of them 2K2-free
+    # seeded random graphs up to 64 vertices, and split graphs (2K2-free)
+    # with one random edge added inside or outside their independent set
+    for n in range(2, 65):
+        graphs = [random_graph(rng, n, rng.choice((0.05, 0.3, 0.9)))]
+        if n <= 16 or n % 16 == 0:
+            split = _random_split_graph(rng, n)
+            rows = list(split.adj)
+            u, v = rng.sample(range(n), 2)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            graphs += [split, Graph(n, tuple(rows))]
+            assert not has_induced_2k2(split.adj)
+        for g in graphs:
+            assert has_induced_2k2(g.adj) == contains_induced(g, TWO_K2), (n, g.adj)
 
 
 def test_contains_induced_trivia(rng):

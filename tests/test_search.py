@@ -6,7 +6,7 @@ import pytest
 from ecgraphs import canon, search
 from ecgraphs.canon import canonical_form, canonical_search, degree_triangle_invariant
 from ecgraphs.catalog import planar_two_line_ec_graphs
-from ecgraphs.ec import is_n_ec
+from ecgraphs.ec import is_n_ec, is_n_line_ec
 from ecgraphs.graph6 import Graph6Error, numbered_lines, parse_graph6, write_graph6
 from ecgraphs.graphs import (
     Graph,
@@ -15,6 +15,7 @@ from ecgraphs.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    has_induced_2k2,
     is_connected,
     path_graph,
 )
@@ -368,6 +369,25 @@ def test_predicate_chain_counts():
     cons = SearchConstraints(predicates=("edge_count=9", "two_line_ec"))
     found = [g for g in enumerate_connected(6, cons)]
     assert [canonical_form(g) for g in found] == [canonical_form(complete_bipartite(3, 3))]
+
+
+def test_two_line_ec_predicate_matches_the_decider(monkeypatch):
+    # every graph on <= 7 vertices, connected or not, the five catalog forms,
+    # K3,3, K6 and F@vf_ (the 11-edge 2-line e.c. graph): the 2K2 rejection
+    # never changes the verdict, and the decider runs only on 2K2-free graphs
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n, SearchConstraints(require_connected=False))]
+    graphs += planar_two_line_ec_graphs() + [complete_bipartite(3, 3), complete_graph(6), parse_graph6("F@vf_")]
+    decided = []
+    monkeypatch.setattr(search, "is_n_line_ec", lambda g, n: decided.append(g) or is_n_line_ec(g, n))
+    verdicts = {}
+    for g in graphs:
+        expected = g.edge_count() >= 2 and is_n_line_ec(g, 2).holds
+        assert search._pred_two_line_ec(g) == expected, g.adj
+        key = (expected, has_induced_2k2(g.adj))
+        verdicts[key] = verdicts.get(key, 0) + 1
+    assert all(not has_induced_2k2(g.adj) for g in decided)
+    # (holds, refused for an induced 2K2): 2K2-free graphs on both sides
+    assert verdicts == {(True, False): 64, (False, False): 530, (False, True): 666}
 
 
 def test_unknown_predicate():
