@@ -30,7 +30,7 @@ from .hypergraphs import (
     star_dual,
 )
 from .planarity import is_planar
-from .search import NAMED_SEARCHES, SearchConstraints, enumerate_connected, filter_stream, run_named_search
+from .search import NAMED_SEARCHES, PREDICATES, SearchConstraints, enumerate_connected, filter_stream, run_named_search
 
 
 def _open_text(path: str):
@@ -103,7 +103,7 @@ def _add_constraint_flags(sub: argparse.ArgumentParser) -> None:
         "--predicate",
         action="append",
         metavar="NAME",
-        help="final filter, cheapest first: planar, two_k2_free, two_line_ec, two_ec, connected, edge_count=M",
+        help=f"final filter, cheapest first: {', '.join(PREDICATES)}, edge_count=M",
     )
 
 

@@ -6,7 +6,7 @@ eligible vertices of the first equitable-refinement cell containing one,
 tie-broken by minimum canonical label), and neighbourhoods of a parent are
 taken one per automorphism orbit.  Every isomorphism class is therefore
 produced exactly once with no global seen-set, and pruning hooks (edge
-budgets, final-min-degree lookahead, intermediate planarity) never lose
+budgets, final-min-degree lookahead, hereditary chain entries) never lose
 survivors because ancestors inherit the pruned bounds.
 
 One tree serves every order: ``_walk`` grows it once from K1 up to the
@@ -19,9 +19,10 @@ listed directly rather than filtered out of all 2^k vertex subsets.  Nor do
 they take one that the acceptance degree test would reject: with d the least
 degree of a deletable vertex of the parent, which stays deletable in the
 child, a neighbourhood has at most d + 1 members, and at d + 1 it holds every
-deletable vertex of degree d (``_neighborhoods`` gives the argument).  A
-chain led by ``planar`` prunes nonplanar nodes and derives the Euler window:
-a child on k >= 3 vertices has at most 3k - 6 edges.
+deletable vertex of degree d (``_neighborhoods`` gives the argument).  The
+chain's leading hereditary entries (``planar``, ``two_k2_free``) prune, as
+ancestors are induced subgraphs, and a ``planar`` among them brings Euler's
+window: a child on k >= 3 vertices has at most 3k - 6 edges.
 
 Acceptance is one rule over one mask of eligible vertices per node, the
 deletable ones (removing one keeps the rest connected, when connectivity is
@@ -44,7 +45,7 @@ from .canon import canonical_form, canonical_search, degree_triangle_invariant, 
 from .ec import is_n_ec, is_n_line_ec
 from .graph6 import Graph6Error, numbered_lines, parse_graph6
 from .graphs import Graph, bits, has_induced_2k2, is_connected, _reach
-from .planarity import is_planar, lr_planar_rows
+from .planarity import is_planar
 
 MAX_SEARCH_ORDER = 12
 
@@ -108,21 +109,24 @@ def _pred_two_ec(g: Graph) -> bool:
     return g.n >= 2 and is_n_ec(g, 2).holds
 
 
+# the named final filters; ``edge_count=M`` is parsed apart
+PREDICATES: dict[str, Callable[[Graph], bool]] = {
+    "planar": is_planar,
+    "two_k2_free": lambda g: not has_induced_2k2(g.adj),
+    "two_line_ec": _pred_two_line_ec,
+    "two_ec": _pred_two_ec,
+    "connected": is_connected,
+}
+HEREDITARY = frozenset({"planar", "two_k2_free"})  # a graph failing one has no induced supergraph passing it
+
+
 def predicate_functions(names: Sequence[str]) -> _Chain:
     out: _Chain = []
     for name in names:
         if name.startswith("edge_count=") and (m := name[len("edge_count="):]).isascii() and m.isdigit():
             out.append((name, lambda g, m=int(m): g.edge_count() == m))
-        elif name == "planar":
-            out.append((name, is_planar))
-        elif name == "two_line_ec":
-            out.append((name, _pred_two_line_ec))
-        elif name == "two_k2_free":
-            out.append((name, lambda g: not has_induced_2k2(g.adj)))
-        elif name == "two_ec":
-            out.append((name, _pred_two_ec))
-        elif name == "connected":
-            out.append((name, is_connected))
+        elif name in PREDICATES:
+            out.append((name, PREDICATES[name]))
         else:
             raise ValueError(f"unknown predicate {name!r}")
     return out
@@ -244,15 +248,15 @@ def _degree_cap(rows: Sequence[int], deletable: int) -> tuple[int, int]:
 def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -> Iterator[Graph]:
     """Grow one canonical-augmentation tree from K1: every accepted graph on
     ``lo..hi`` vertices with the final min degree is counted and filtered,
-    and every one on fewer than ``hi`` vertices is expanded.  Yields the
-    survivors depth first."""
+    and every one on fewer than ``hi`` vertices that passes the chain's
+    hereditary lead is expanded.  Yields the survivors depth first."""
     if not 1 <= lo <= hi <= MAX_SEARCH_ORDER:
         raise ValueError(f"order must be 1..{MAX_SEARCH_ORDER}, got {hi}")
-    # a chain led by planar prunes: ancestors are induced subgraphs, so a
-    # nonplanar graph has no planar descendant, and Euler's bound caps edges;
-    # each node's planarity test then stands in for the chain's first entry
-    prune = cons.predicates[:1] == ("planar",)
-    chain = predicate_functions(cons.predicates)[1 if prune else 0 :]
+    # the chain's leading hereditary entries test every node, charging counted ones
+    chain = predicate_functions(cons.predicates)
+    lead = next((i for i, (name, _) in enumerate(chain) if name not in HEREDITARY), len(chain))
+    heredity, chain = chain[:lead], chain[lead:]
+    euler = "planar" in cons.predicates[:lead]
     connected = cons.require_connected
     fmd = cons.final_min_degree or 0
     # min degree fmd needs more than fmd vertices (checked on counting) and
@@ -264,15 +268,14 @@ def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -
         rows: list[int], m_now: int, gens: list[tuple[int, ...]] | None, cells: list[int] | None, deletable: int
     ) -> Iterator[Graph]:
         k = len(rows)
-        planar = not prune or lr_planar_rows(k, rows)
-        if k >= lo and min(row.bit_count() for row in rows) >= fmd:
+        counted = k >= lo and min(row.bit_count() for row in rows) >= fmd
+        g = Graph._trusted(k, tuple(rows)) if counted or heredity else None  # grown from K1, so symmetric
+        ok = _survives(g, heredity, counters if counted else {})
+        if counted:
             counters["generated"] += 1
-            g = Graph._trusted(k, tuple(rows))  # grown from K1: bit k of row v is bit v of row k
-            if not planar:
-                counters["planar"] += 1
-            elif _survives(g, chain, counters):
+            if ok and _survives(g, chain, counters):
                 yield g
-        if k == hi or not planar:
+        if k == hi or not ok:
             return
         need = fmd - (hi - k - 1)  # child min-degree lookahead: degrees grow <= 1 per addition
         forced = 0
@@ -287,7 +290,7 @@ def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -
         if cons.max_edges is not None:
             # each vertex still needed to reach lo brings at least one edge
             max_sz = min(max_sz, cons.max_edges - m_now - (max(lo - k - 1, 0) if connected else 0))
-        if prune and k >= 2:
+        if euler and k >= 2:
             max_sz = min(max_sz, 3 * (k + 1) - 6 - m_now)
         top, least = _degree_cap(rows, deletable)
         for nb in _neighborhoods(k, rows, forced, max(need, 1 if connected else 0), min(max_sz, top), gens, (top, least), cells):
@@ -305,10 +308,7 @@ def _walk(lo: int, hi: int, cons: SearchConstraints, counters: dict[str, int]) -
 
 
 def new_counters(cons: SearchConstraints) -> dict[str, int]:
-    counters = {"generated": 0}
-    for name in cons.predicates:
-        counters[name] = 0
-    return counters
+    return {"generated": 0} | dict.fromkeys(cons.predicates, 0)
 
 
 def enumerate_connected(order: int, constraints: SearchConstraints | None = None) -> Iterator[Graph]:

@@ -20,6 +20,7 @@ from ecgraphs.graphs import (
     path_graph,
 )
 from ecgraphs.hypergraphs import crossing_hypergraph, format_hypergraph
+from ecgraphs.search import PREDICATES
 
 K33_LINE = write_graph6(complete_bipartite(3, 3))
 
@@ -216,6 +217,19 @@ def test_search_workers_is_a_no_op(capsys):
     with pytest.raises(SystemExit):
         main(["search", "--help"])
     assert "does nothing" in capsys.readouterr().out
+
+
+def test_predicate_help_lists_the_predicate_table(capsys):
+    # --predicate's help is built from search.PREDICATES, and every name in
+    # the table is one --predicate accepts
+    with pytest.raises(SystemExit):
+        main(["filter", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    listed = help_text.split("cheapest first: ")[1].split(", edge_count=M")[0]
+    assert listed.split(", ") == list(PREDICATES)
+    for name in PREDICATES:
+        assert run_cli(capsys, "enumerate", "--order", "4", "--predicate", name)[0] == 0, name
+    assert run_cli(capsys, "enumerate", "--order", "4", "--predicate", "no_such_name")[0] == 2
 
 
 def test_filter(capsys, tmp_path):

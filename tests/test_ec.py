@@ -30,6 +30,7 @@ from ecgraphs.graphs import (
     cycle_graph,
     diameter,
     empty_graph,
+    has_induced_2k2,
     path_graph,
 )
 from ecgraphs.graph6 import write_graph6
@@ -329,6 +330,35 @@ def test_delta_and_structure_necessary_conditions():
             lg, _ = line_graph(g)
             assert not contains_induced(lg, claw)
     assert found > 0  # K33 and K6 live at order 6
+
+
+def _two_edges_cover(g):
+    """True iff two distinct edges of g touch every edge, that is when the
+    ends of some two edges form a vertex cover."""
+    full = (1 << g.n) - 1
+    edges = [1 << u | 1 << v for u, v in g.edges()]
+    for i, e in enumerate(edges):
+        for f in edges[:i]:
+            cover = e | f
+            if not any(g.adj[v] & ~cover for v in bits(full & ~cover)):
+                return True
+    return False
+
+
+def test_two_line_ec_characterisation_on_small_graphs():
+    # with no isolated vertex, 2-line e.c. holds iff min degree >= 3, the
+    # graph is 2K2-free, and no two edges touch every edge: checked on every
+    # graph on <= 8 vertices with at least two edges, connected or not
+    cons = SearchConstraints(require_connected=False, final_min_degree=1)
+    checked = 0
+    for n in range(2, 9):
+        for g in enumerate_connected(n, cons):
+            if g.edge_count() < 2:
+                continue
+            checked += 1
+            expected = min(g.degrees()) >= 3 and not has_induced_2k2(g.adj) and not _two_edges_cover(g)
+            assert is_n_line_ec(g, 2).holds == expected, write_graph6(g)
+    assert checked == 12344  # OEIS A002494 summed over 2..8 vertices, less K2
 
 
 def test_line_graph_of_k33_contains_induced_2k2():

@@ -484,21 +484,66 @@ def test_pruning_soundness_edge_bound():
         assert a == b
 
 
+# leading hereditary entries: the first order whose walk counts fewer nodes
+# than the unpruned one (K5 is cut by Euler's window, P5 has an induced 2K2
+# but no 4-vertex connected graph does)
+HEREDITARY_LEADS = {("planar",): 5, ("two_k2_free",): 6, ("two_k2_free", "planar"): 5}
+
+
+def _check_hereditary_leads(n, connected_count, planar_count):
+    """The 2-line e.c. survivors per lead at order n, each chain's pruned walk
+    checked against the unpruned one."""
+    # "connected" first (always true here) turns pruning off, so the
+    # reference walk runs the chain on every connected graph; both walks
+    # grow the same tree, so the pruned one yields a sublist of its graphs
+    def walk(preds):
+        cons = SearchConstraints(predicates=preds)
+        counters = search.new_counters(cons)
+        return list(search._walk(n, n, cons, counters)), counters
+
+    found = {}
+    for lead, first_pruned in HEREDITARY_LEADS.items():
+        full, fc = walk(("connected",) + lead)
+        pruned, pc = walk(lead)
+        assert pruned == full, (lead, n)
+        assert fc["generated"] == connected_count
+        if lead == ("planar",):  # 5,974 of 11,117 at order 8
+            assert len(full) == planar_count
+        assert (pc["generated"] < fc["generated"]) == (n >= first_pruned), (lead, n)
+        # two_line_ec is not hereditary: a walk pruning through it would
+        # lose survivors
+        tail, _ = walk(lead + ("two_line_ec",))
+        assert tail == [g for g in full if search._pred_two_line_ec(g)], (lead, n)
+        found[lead] = len(tail)
+    return found
+
+
 def test_planar_first_chain_prunes_without_losing_survivors():
-    # a chain that starts with planar prunes nonplanar intermediate graphs;
-    # "connected" first (always true here) turns pruning off, so the second
-    # walk tests planarity on every connected graph: 5,974 of 11,117 at order 8
-    for n, planar_count in enumerate(PLANAR_CONNECTED_COUNTS, start=1):
-        runs = []
-        for preds in (("planar",), ("connected", "planar")):
-            cons = SearchConstraints(predicates=preds)
-            counters = search.new_counters(cons)
-            runs.append(([canonical_form(g) for g in search._walk(n, n, cons, counters)], counters))
-        (pruned, pc), (full, fc) = runs
-        assert pruned == full and len(pruned) == planar_count
-        assert fc["generated"] == CONNECTED_COUNTS[n - 1]
-        # K5 is the first nonplanar graph, and Euler's bound keeps it from being generated
-        assert (pc["generated"] < fc["generated"]) == (n >= 5)
+    found = dict.fromkeys(HEREDITARY_LEADS, 0)
+    for n, (connected_count, planar_count) in enumerate(zip(CONNECTED_COUNTS, PLANAR_CONNECTED_COUNTS), start=1):
+        for lead, count in _check_hereditary_leads(n, connected_count, planar_count).items():
+            found[lead] += count
+    # each chain has survivors (the catalog forms at order 7), so a prune
+    # through the non-hereditary two_line_ec would show
+    assert all(found.values()), found
+
+
+@pytest.mark.slow
+def test_hereditary_leads_prune_without_losing_survivors_order_nine():
+    _check_hereditary_leads(9, 261080, 71885)  # OEIS A001349, A003094
+
+
+def test_two_k2_free_planar_walk_reaches_order_twelve():
+    # the planar classification by the walk's own prune: the chain's leading
+    # two_k2_free and planar cut the tree, and no node above order 9 is
+    # counted, so the run to max order 12 repeats the run to max order 9
+    cons = SearchConstraints(final_min_degree=3, predicates=("two_k2_free", "planar", "two_line_ec"))
+    expected = sorted(canonical_form(g) for g in planar_two_line_ec_graphs())
+    for hi in (9, 12):
+        counters = search.new_counters(cons)
+        survivors = sorted(canonical_form(g) for g in search._walk(1, hi, cons, counters))
+        assert survivors == expected, hi
+        assert counters == {"generated": 185, "two_k2_free": 103, "planar": 63, "two_line_ec": 14}, hi
 
 
 # -- filter_stream ------------------------------------------------------------------
