@@ -23,7 +23,11 @@ Refinement splits each cell where it stands, by one adjacency row when the
 splitter is a single vertex (every individualized vertex is one).  So a
 caller asking only whether some vertex will precede another can stop it once
 one does, and one holding the refined unit partition hands it to
-``canonical_search``, which then skips its root refinement.
+``canonical_search``, which then skips its root refinement.  Refinement skips
+the passes that cannot split a cell: a singleton never splits, so a
+one-vertex splitter whose row misses every non-singleton cell is dropped
+unread, and once the partition is discrete the splitters still queued are
+left; a pass copies the cells only from the first cell that splits.
 
 Soundness of the canonical form and completeness of the discovered
 automorphism generators are pinned by tests against brute-force oracles on all
@@ -58,27 +62,52 @@ def refine_partition(
     split of v's cell puts a vertex of ``mask`` before v, which no later
     split can undo: the full refinement would only split those cells further
     in place.  The caller passes cells where no such vertex precedes v yet.
+
+    Only passes that split nothing are skipped.  ``multi``, the union of the
+    non-singleton cells, shrinks as splits leave singletons.  A one-vertex
+    splitter whose row misses ``multi`` meets each cell in nothing or in all
+    of it, so its pass would leave the cells as they are and queue nothing;
+    once ``multi`` is empty no splitter can split anything.  So the cells,
+    their order, the splitters queued and the pass that sets the halt are
+    those of the procedure that runs every pass.
     """
     vbit, early = (1 << stop[0], stop[1]) if stop else (0, 0)
     cells = list(cells)
+    multi = 0  # the union of the non-singleton cells
+    for cell in cells:
+        if cell & (cell - 1):
+            multi |= cell
     queue = deque(cells if work is None else work)
     halt = 0
-    while queue and not halt:
+    while queue and multi and not halt:
         splitter = queue.popleft()
-        out = []
         if not splitter & (splitter - 1):  # one vertex: split by its row
             row = adj[splitter.bit_length() - 1]
-            for cell in cells:
+            if not row & multi:
+                continue
+            for first, cell in enumerate(cells):
+                hit = cell & row
+                if hit and hit != cell:
+                    break
+            else:
+                continue
+            out = cells[:first]
+            for cell in cells[first:]:
                 hit = cell & row
                 if hit and hit != cell:
                     miss = cell ^ hit
                     out += (miss, hit)
                     queue += (miss, hit)
+                    if not miss & (miss - 1):
+                        multi ^= miss
+                    if not hit & (hit - 1):
+                        multi ^= hit
                     if hit & vbit:
                         halt = miss & early
                 else:
                     out.append(cell)
         else:
+            out = []
             for cell in cells:
                 if not cell & (cell - 1):  # singleton
                     out.append(cell)
@@ -97,6 +126,9 @@ def refine_partition(
                     subs = [groups[cnt] for cnt in sorted(groups)]
                     out += subs
                     queue += subs
+                    for sub in subs:
+                        if not sub & (sub - 1):
+                            multi ^= sub
                     if cell & vbit:  # disjoint subcells: their sum is their union
                         halt = sum(subs[: next(i for i, sub in enumerate(subs) if sub & vbit)]) & early
         cells = out
@@ -173,7 +205,7 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
                     covered = orbit_closure(covered, fixing)
             if covered & low:
                 continue
-            covered |= orbit_closure(low, fixing)
+            covered |= orbit_closure(low, fixing) if fixing else low
             ncells = cells[:target] + [low, cell ^ low] + cells[target + 1:]
             resume = descend(refine_partition(n, adj, ncells, [low]), path + [low.bit_length() - 1])
             if resume < depth:

@@ -364,8 +364,8 @@ def filter_stream(
     Input is deduplicated by canonical form before filtering, but lazily: a
     line is labelled only when its cheap invariant
     (``canon.degree_triangle_invariant``) matches an earlier line's, or when
-    it survives.  The first line with an invariant is kept as its text until
-    a second line shares the invariant; then both are labelled, the first at
+    it survives.  The first graph with an invariant is kept, parsed, until a
+    second line shares the invariant; then both are labelled, the first at
     most once, and equal canonical forms alone decide duplicates, so a
     collision of invariants (or of their hashes) costs a label, never a
     count.  Memory grows with the number of distinct graphs.  Malformed lines
@@ -378,9 +378,9 @@ def filter_stream(
     rejected: dict[str, int] = {}
     errors: list[dict] = []
     forms: set[str] = set()
-    # invariant hash -> text of the one unlabelled line with it, or None once
-    # every line with it has its form in ``forms``
-    pending: dict[int, str | None] = {}
+    # invariant hash -> the one unlabelled graph with it, or None once every
+    # graph with it has its form in ``forms``
+    pending: dict[int, Graph | None] = {}
     survivors: list[str] = []
     generated = 0
     max_seen = 0
@@ -399,11 +399,11 @@ def filter_stream(
         key = hash(degree_triangle_invariant(g))
         form = None
         if key not in pending:
-            pending[key] = text
+            pending[key] = g
         else:
             first = pending[key]
             if first is not None:
-                forms.add(canonical_form(parse_graph6(first)))
+                forms.add(canonical_form(first))
                 pending[key] = None
             form = canonical_form(g)
             if form in forms:

@@ -244,6 +244,14 @@ def brute_refine(n: int, adj, cells: list[int], work: list[int] | None = None) -
     cell's vertices grouped by their number of neighbours in the splitter,
     subcells by ascending count in place of the cell, and every subcell of a
     cell that splits queued as a splitter."""
+    for _, cells in brute_passes(n, adj, cells, work):
+        pass
+    return list(cells)
+
+
+def brute_passes(n: int, adj, cells: list[int], work: list[int] | None = None):
+    """``(splitter, cells after its pass)`` for each splitter that
+    ``brute_refine`` pops, in order."""
     cells = list(cells)
     queue = list(cells if work is None else work)
     while queue:
@@ -259,7 +267,21 @@ def brute_refine(n: int, adj, cells: list[int], work: list[int] | None = None) -
             if len(subs) > 1:
                 queue += subs
         cells = out
-    return cells
+        yield splitter, cells
+
+
+def brute_row_budget(n: int, adj, cells: list[int], work: list[int] | None = None) -> int:
+    """The most adjacency rows an equitable refinement needs to read: one for
+    a one-vertex splitter and one per vertex of a non-singleton cell for any
+    other, over the splitters that ``brute_refine`` pops while its partition
+    is not yet discrete.  A discrete partition splits no further."""
+    budget = 0
+    for splitter, after in brute_passes(n, adj, cells, work):
+        if len(cells) == n:
+            break
+        budget += 1 if not splitter & (splitter - 1) else sum(c.bit_count() for c in cells if c & (c - 1))
+        cells = after
+    return budget
 
 
 def refines_in_place(fine: list[int], coarse: list[int]) -> bool:

@@ -36,6 +36,7 @@ from conftest import (
     brute_isomorphic,
     brute_orbit_partition,
     brute_refine,
+    brute_row_budget,
     group_order,
     random_graph,
     random_permutation,
@@ -336,6 +337,68 @@ def test_refinement_matches_the_general_split():
             cells[i:i + 1] = [low, cells[i] ^ low] if cells[i] != low else [low]
             work = [low]
         assert refine_partition(n, g.adj, cells, work) == brute_refine(n, g.adj, cells, work), (write_graph6(g), cells, work)
+
+
+class _CountingRows(list):
+    """Adjacency rows that count how many times a row is read."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_refinement_on_large_graphs_matches_the_general_split():
+    # the same comparison on 13-64 vertices, from random partitions and
+    # splitter queues and from the partitions the canonical search makes, on
+    # symmetric families and on random graphs; refinement must also read no
+    # row once its partition is discrete (and no more rows than the general
+    # split's passes up to then need), and with stop=(v, mask) it may halt
+    # only once a vertex of mask precedes v's cell
+    rng = random.Random(0x24)
+    graphs = [cycle_graph(64), paley(49), paley(61), complete_bipartite(8, 8), line_graph(complete_bipartite(5, 5))[0]]
+    graphs += [g.permuted(random_permutation(rng, g.n)) for g in graphs]
+    graphs += [random_graph(rng, n, p) for n in (20, 33, 47, 64) for p in (0.08, 0.5, 0.9)]
+    graphs += [random_graph(rng, rng.randint(13, 64), rng.uniform(0.05, 0.95)) for _ in range(8)]
+    cases = 0
+    for g in graphs:
+        n = g.n
+        full = [(1 << n) - 1]
+        equitable = brute_refine(n, g.adj, full)
+        part = _random_ordered_partition(rng, n)
+        some = rng.sample(part, rng.randint(0, len(part))) + [rng.randrange(1, 1 << n), 1 << rng.randrange(n)]
+        cases_of_g = [(full, None), (part, None), (part, some)]
+        # individualize a vertex of the first non-singleton cell, as the search
+        # does, at each depth of one path until the partition is discrete
+        cells = equitable
+        while len(cells) < n:
+            i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+            low = 1 << rng.choice(list(bits(cells[i])))
+            cells = cells[:i] + [low, cells[i] ^ low] + cells[i + 1:]
+            cases_of_g.append((cells, [low]))
+            cells = brute_refine(n, g.adj, cells, [low])
+        # and a vertex of another non-singleton cell of the equitable partition
+        open_cells = [i for i, cell in enumerate(equitable) if cell & (cell - 1)]
+        if open_cells:
+            i = rng.choice(open_cells)
+            low = 1 << rng.choice(list(bits(equitable[i])))
+            cases_of_g.append((equitable[:i] + [low, equitable[i] ^ low] + equitable[i + 1:], [low]))
+        for cells, work in cases_of_g:
+            rows = _CountingRows(g.adj)
+            assert refine_partition(n, rows, cells, work) == brute_refine(n, g.adj, cells, work), (write_graph6(g), cells, work)
+            assert rows.reads <= brute_row_budget(n, g.adj, cells, work), (write_graph6(g), cells, work)
+            cases += 1
+        # stop variant: v's cell first, as the test below sets it up
+        for cells in (full, _random_ordered_partition(rng, n)):
+            v = rng.randrange(n)
+            mask = rng.randrange(1 << n)
+            cells = sorted(cells, key=lambda c: not c >> v & 1)
+            whole = brute_refine(n, g.adj, cells)
+            got = refine_partition(n, g.adj, cells, None, (v, mask))
+            assert refines_in_place(whole, got), (write_graph6(g), cells, v, mask)
+            assert got == whole or _before(got, v) & mask, (write_graph6(g), cells, v, mask)
+    assert cases > 100
 
 
 def test_refinement_stops_only_once_a_vertex_of_the_mask_precedes():
