@@ -27,7 +27,16 @@ one does, and one holding the refined unit partition hands it to
 the passes that cannot split a cell: a singleton never splits, so a
 one-vertex splitter whose row misses every non-singleton cell is dropped
 unread, and once the partition is discrete the splitters still queued are
-left; a pass copies the cells only from the first cell that splits.
+left; a pass copies the cells only from the first cell that splits.  A cell
+that splits queues every subcell but the last (Hopcroft's rule, which nauty
+and Traces apply to the largest subcell), unless it is an initial cell the
+caller did not queue.  The queue is first in, first out, so the cell and the
+other subcells are popped before the last one would be; once they are, every
+cell has one count into each of them, and so one count into the last
+subcell, the cell's count less theirs: its pass would split nothing.  Leaving
+out the last subcell, not the largest, keeps every pass that splits, and so
+the cells, their order and every canonical form, as they were.  A leaf is
+relabelled by one bit-matrix transpose (``relabel_rows``).
 
 Soundness of the canonical form and completeness of the discovered
 automorphism generators are pinned by tests against brute-force oracles on all
@@ -41,7 +50,7 @@ from collections import deque
 from typing import Sequence
 
 from .graph6 import encode_graph6
-from .graphs import Graph, bits, permute_rows
+from .graphs import Graph, bits, permute_rows, relabel_rows
 
 
 def refine_partition(
@@ -66,10 +75,18 @@ def refine_partition(
     Only passes that split nothing are skipped.  ``multi``, the union of the
     non-singleton cells, shrinks as splits leave singletons.  A one-vertex
     splitter whose row misses ``multi`` meets each cell in nothing or in all
-    of it, so its pass would leave the cells as they are and queue nothing;
-    once ``multi`` is empty no splitter can split anything.  So the cells,
-    their order, the splitters queued and the pass that sets the halt are
-    those of the procedure that runs every pass.
+    of it, so its pass would leave the cells as they are and queue nothing
+    (an empty splitter has an empty row); once ``multi`` is empty no splitter
+    can split anything.  A cell C that splits into s1..sr queues s1..s(r-1)
+    and not sr, unless C is an initial cell that ``work`` left out.  C was
+    queued before sr: initially, or at the split that made it.  The queue is
+    first in, first out, so C and s1..s(r-1) are popped before sr would be (a
+    subcell left out counts as popped at its turn, by the same argument).
+    After a pass every cell has one count into its splitter, and splits only
+    refine that; so at sr's turn each cell's count into sr is its count into
+    C less its counts into s1..s(r-1), one number, and sr's pass would split
+    nothing.  So the cells, their order, the passes that split and the pass
+    that sets the halt are those of the procedure that runs every pass.
     """
     vbit, early = (1 << stop[0], stop[1]) if stop else (0, 0)
     cells = list(cells)
@@ -77,12 +94,15 @@ def refine_partition(
     for cell in cells:
         if cell & (cell - 1):
             multi |= cell
+    # a cell that a split made, or one queued at the start, was queued before
+    # its subcells: made covers the former, and every cell when work is None
+    made = -1 if work is None else 0
     queue = deque(cells if work is None else work)
     halt = 0
     while queue and multi and not halt:
         splitter = queue.popleft()
         if not splitter & (splitter - 1):  # one vertex: split by its row
-            row = adj[splitter.bit_length() - 1]
+            row = adj[splitter.bit_length() - 1] if splitter else 0
             if not row & multi:
                 continue
             for first, cell in enumerate(cells):
@@ -97,7 +117,11 @@ def refine_partition(
                 if hit and hit != cell:
                     miss = cell ^ hit
                     out += (miss, hit)
-                    queue += (miss, hit)
+                    if cell & made or cell in work:
+                        queue.append(miss)
+                    else:
+                        queue += (miss, hit)
+                    made |= cell
                     if not miss & (miss - 1):
                         multi ^= miss
                     if not hit & (hit - 1):
@@ -125,7 +149,11 @@ def refine_partition(
                 else:
                     subs = [groups[cnt] for cnt in sorted(groups)]
                     out += subs
-                    queue += subs
+                    if cell & made or cell in work:
+                        queue += subs[:-1]
+                    else:
+                        queue += subs
+                    made |= cell
                     for sub in subs:
                         if not sub & (sub - 1):
                             multi ^= sub
@@ -147,20 +175,22 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
     if cells is None:
         cells = refine_partition(n, adj, [(1 << n) - 1])
     if len(cells) == n:  # discrete: trivial automorphism group, no search
-        return _leaf_perm(n, cells), []
+        return _labelling(_leaf_order(cells)), []
 
     identity = tuple(range(n))
     gens: list[tuple[int, ...]] = []
-    # (rows, perm, path) of the first leaf and of the smallest leaf so far
+    # (rows, order, path) of the first leaf and of the smallest leaf so far,
+    # order[i] being the vertex labelled i
     first: tuple | None = None
     best: tuple | None = None
 
-    def record_automorphism(p1: Sequence[int], p2: Sequence[int]) -> None:
-        # identical relabelled rows under p1 and p2 => p2^-1 . p1 in Aut
-        inv2 = [0] * n
-        for v, lab in enumerate(p2):
-            inv2[lab] = v
-        sigma = tuple(inv2[p1[v]] for v in range(n))
+    def record_automorphism(o1: Sequence[int], o2: Sequence[int]) -> None:
+        # identical relabelled rows under both orders: the vertex labelled i
+        # in one maps to the vertex labelled i in the other, an automorphism
+        sigma = [0] * n
+        for v, w in zip(o1, o2):
+            sigma[v] = w
+        sigma = tuple(sigma)
         if sigma != identity and sigma not in gens:
             gens.append(sigma)
 
@@ -171,19 +201,19 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
         depth = len(path)
         target = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), -1)
         if target < 0:
-            perm = _leaf_perm(n, cells)
-            key = permute_rows(adj, perm)
+            order = _leaf_order(cells)
+            key = relabel_rows(adj, order)
             if first is None:
-                first = best = (key, perm, path)
+                first = best = (key, order, path)
             elif key == first[0]:
                 # this subtree up to the common ancestor mirrors the first path
-                record_automorphism(perm, first[1])
+                record_automorphism(order, first[1])
                 return _common_prefix(path, first[2])
             elif key < best[0]:
-                best = (key, perm, path)
+                best = (key, order, path)
             elif key == best[0]:
                 # likewise for the best path
-                record_automorphism(perm, best[1])
+                record_automorphism(order, best[1])
                 return _common_prefix(path, best[2])
             return depth
 
@@ -212,15 +242,23 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
                 return resume
         return depth
 
-    descend(cells, [])
-    return list(best[1]), gens
+    try:
+        descend(cells, [])
+    finally:
+        del descend  # the closure refers to itself: free it without the cyclic collector
+    return _labelling(best[1]), gens
 
 
-def _leaf_perm(n: int, cells: list[int]) -> list[int]:
-    """Labelling of a discrete partition: the vertex of cell i gets label i."""
-    perm = [0] * n
-    for i, cell in enumerate(cells):
-        perm[cell.bit_length() - 1] = i
+def _leaf_order(cells: list[int]) -> list[int]:
+    """The vertices of a discrete partition in cell order."""
+    return [cell.bit_length() - 1 for cell in cells]
+
+
+def _labelling(order: Sequence[int]) -> list[int]:
+    """The labelling that gives vertex order[i] label i."""
+    perm = [0] * len(order)
+    for i, v in enumerate(order):
+        perm[v] = i
     return perm
 
 

@@ -7,6 +7,8 @@ and set algebra on vertex sets is plain integer arithmetic.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -122,16 +124,57 @@ class Graph:
 
 
 def permute_rows(adj: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency rows relabelled so that vertex v becomes perm[v]."""
-    rows = [0] * len(adj)
-    for v, row in enumerate(adj):
-        acc = 0
-        while row:  # bits(row) inline: this relabels every leaf of a canonical search
-            low = row & -row
-            row ^= low
-            acc |= 1 << perm[low.bit_length() - 1]
-        rows[perm[v]] = acc
-    return tuple(rows)
+    """Adjacency rows relabelled so that vertex v becomes perm[v].  The rows
+    must be symmetric, as a Graph's are: see ``relabel_rows``."""
+    order = [0] * len(perm)
+    for v, label in enumerate(perm):
+        order[label] = v
+    return relabel_rows(adj, order)
+
+
+def _swap_masks(width: int) -> list[tuple[int, int]]:
+    """The delta-swaps that transpose a width x width bit matrix held in one
+    int, row j in bits j*width..j*width+width-1: at each block size k, the
+    bits (j, c) with bit k clear in j and set in c trade places with
+    (j + k, c - k), k*(width - 1) bits up."""
+    swaps = []
+    k = width >> 1
+    while k:
+        row = sum(1 << c for c in range(width) if c & k)
+        rows = sum(1 << j * width for j in range(width) if not j & k)
+        swaps.append((k * (width - 1), rows * row))
+        k >>= 1
+    return swaps
+
+
+def _typecode(size: int) -> str:
+    return next(code for code in "BHILQ" if array(code).itemsize == size)
+
+
+# (width, array typecode of that many bits, delta-swaps) for 1-8, 9-16, 17-32 and 33-64 vertices
+_TRANSPOSE = [(width, _typecode(width >> 3), _swap_masks(width)) for width in (8, 16, 32, 64)]
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def relabel_rows(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """Symmetric adjacency rows relabelled so that vertex order[i] becomes i.
+
+    The rows in label order are the rows of one bit matrix packed into one
+    int; transposing it relabels the columns, and since the rows are
+    symmetric, transposed row order[i] is new row i."""
+    n = len(order)
+    width, code, swaps = _TRANSPOSE[(n > 8) + (n > 16) + (n > 32)]
+    packed = array(code, [adj[v] for v in order])
+    if _BIG_ENDIAN:
+        packed.byteswap()
+    x = int.from_bytes(packed, "little")
+    for delta, mask in swaps:
+        t = (x ^ x >> delta) & mask
+        x ^= t | t << delta
+    cols = array(code, x.to_bytes(n * width >> 3, "little"))
+    if _BIG_ENDIAN:
+        cols.byteswap()
+    return tuple([cols[v] for v in order])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -300,6 +301,21 @@ def test_search_from_the_refined_unit_partition_matches_search_from_scratch():
         assert canonical_search(g.n, g.adj, cells) == canonical_search(g.n, g.adj), write_graph6(g)
 
 
+def test_canonical_search_leaves_no_reference_cycles():
+    # every object a search makes is freed by reference counting alone
+    graphs = [paley(13), paley(49), complete_bipartite(4, 4), cycle_graph(16), PETERSEN, path_graph(5)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            for _ in range(5):
+                canonical_search(g.n, g.adj)
+            canonical_form(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _random_ordered_partition(rng: random.Random, n: int) -> list[int]:
     """The vertices in random order, cut into random runs of cells."""
     order = random_permutation(rng, n)
@@ -328,6 +344,12 @@ def test_refinement_matches_the_general_split():
                 rng.sample(cells, rng.randint(0, len(cells)))
                 + [rng.randrange(1, 1 << n) for _ in range(rng.randrange(3))]
                 + [1 << rng.randrange(n) for _ in range(rng.randrange(3))])
+            if work is not None:
+                # an empty splitter splits nothing, wherever it is queued
+                for at in range(len(work) + 1):
+                    padded = work[:at] + [0] + work[at:]
+                    assert refine_partition(n, g.adj, cells, padded) == brute_refine(n, g.adj, cells, padded), (
+                        write_graph6(g), cells, padded)
         else:
             # individualize a vertex of a cell, as the canonical search does,
             # of the equitable or of a random partition
@@ -399,6 +421,33 @@ def test_refinement_on_large_graphs_matches_the_general_split():
             assert refines_in_place(whole, got), (write_graph6(g), cells, v, mask)
             assert got == whole or _before(got, v) & mask, (write_graph6(g), cells, v, mask)
     assert cases > 100
+
+
+# rows that refinement reads from the unit partition and after
+# individualizing the first vertex of the first non-singleton cell of the
+# equitable partition, and the budget of the general split's passes
+ROWS_READ = {
+    "C64": (lambda: cycle_graph(64), (64, 64), (1955, 3843)),
+    "Paley49": (lambda: paley(49), (49, 49), (97, 97)),
+}
+
+
+def test_rows_read_by_refinement_pinned():
+    # a split cell queues every subcell but the last, unless it is an initial
+    # cell the caller did not queue; the dropped passes read no row
+    for name, (make, unit, individualized) in ROWS_READ.items():
+        g = make()
+        n = g.n
+        full = [(1 << n) - 1]
+        equitable = refine_partition(n, g.adj, full)
+        i = next(i for i, cell in enumerate(equitable) if cell & (cell - 1))
+        low = equitable[i] & -equitable[i]
+        cells = equitable[:i] + [low, equitable[i] ^ low] + equitable[i + 1:]
+        for start, work, (reads, budget) in ((full, None, unit), (cells, [low], individualized)):
+            rows = _CountingRows(g.adj)
+            assert refine_partition(n, rows, start, work) == brute_refine(n, g.adj, start, work), name
+            assert (rows.reads, brute_row_budget(n, g.adj, start, work)) == (reads, budget), name
+            assert reads <= budget, name
 
 
 def test_refinement_stops_only_once_a_vertex_of_the_mask_precedes():

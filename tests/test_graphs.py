@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 
 from ecgraphs.canon import is_isomorphic
 from ecgraphs.catalog import named_graph
+from ecgraphs.constructions import paley
 from ecgraphs.ec import line_graph
 from ecgraphs.graphs import (
     Graph,
@@ -21,6 +23,8 @@ from ecgraphs.graphs import (
     empty_graph,
     has_induced_2k2,
     path_graph,
+    permute_rows,
+    relabel_rows,
     standard_family,
 )
 from ecgraphs.search import SearchConstraints, enumerate_connected
@@ -62,6 +66,38 @@ def test_induced_refuses_out_of_range_vertices():
             p4.induced(vertices)
     with pytest.raises(GraphError, match="duplicate"):
         p4.induced([1, 1])
+
+
+def _relabelled_bit_by_bit(adj, perm) -> tuple[int, ...]:
+    """Rows relabelled one adjacency bit at a time: bit u of row v set means
+    bit perm[u] of row perm[v] set."""
+    n = len(adj)
+    rows = [0] * n
+    for v in range(n):
+        for u in range(n):
+            if adj[v] >> u & 1:
+                rows[perm[v]] |= 1 << perm[u]
+    return tuple(rows)
+
+
+def test_relabelling_matches_the_bit_by_bit_relabelling():
+    # the transpose packs rows 8, 16, 32 or 64 bits wide: every order from 1
+    # to 64, and so each side of each width boundary, at several densities,
+    # and symmetric families under random permutations
+    rng = random.Random(0x25)
+    graphs = [random_graph(rng, n, p) for n in range(1, 65) for p in (0.1, 0.5, 0.9)]
+    graphs += [g(n) for g in (complete_graph, empty_graph) for n in (1, 8, 9, 16, 17, 32, 33, 64)]
+    graphs += [cycle_graph(64), paley(49), paley(61)]
+    for g in graphs:
+        for _ in range(3):
+            perm = random_permutation(rng, g.n)
+            order = [0] * g.n
+            for v, label in enumerate(perm):
+                order[label] = v
+            want = _relabelled_bit_by_bit(g.adj, perm)
+            assert permute_rows(g.adj, perm) == want, (g.n, g.adj, perm)
+            assert relabel_rows(g.adj, order) == want, (g.n, g.adj, perm)
+            assert g.permuted(perm).adj == want
 
 
 # -- families ------------------------------------------------------------------
