@@ -50,7 +50,7 @@ from collections import deque
 from typing import Sequence
 
 from .graph6 import encode_graph6
-from .graphs import Graph, bits, permute_rows, relabel_rows
+from .graphs import Graph, bits, relabel_rows
 
 
 def refine_partition(
@@ -164,18 +164,20 @@ def refine_partition(
 
 
 def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Canonical labelling and automorphism generators of a raw adjacency list.
+    """Canonical order and automorphism generators of a raw adjacency list.
 
-    Returns ``(perm, generators)`` where ``perm[v]`` is the canonical label of
-    vertex v and the generators (vertex permutations fixing the graph)
-    generate the whole automorphism group.  A caller that has already refined
-    the unit partition passes the result as ``cells``, and the search starts
-    from it instead of refining again.
+    Returns ``(order, generators)``: ``order`` is the vertex order of the
+    smallest leaf, ``order[i]`` the vertex labelled i, so
+    ``relabel_rows(adj, order)`` are the canonical rows; the generators
+    (vertex permutations fixing the graph) generate the whole automorphism
+    group.  A caller that has already refined the unit partition passes the
+    result as ``cells``, and the search starts from it instead of refining
+    again.
     """
     if cells is None:
         cells = refine_partition(n, adj, [(1 << n) - 1])
     if len(cells) == n:  # discrete: trivial automorphism group, no search
-        return _labelling(_leaf_order(cells)), []
+        return _leaf_order(cells), []
 
     identity = tuple(range(n))
     gens: list[tuple[int, ...]] = []
@@ -246,20 +248,12 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
         descend(cells, [])
     finally:
         del descend  # the closure refers to itself: free it without the cyclic collector
-    return _labelling(best[1]), gens
+    return best[1], gens
 
 
 def _leaf_order(cells: list[int]) -> list[int]:
     """The vertices of a discrete partition in cell order."""
     return [cell.bit_length() - 1 for cell in cells]
-
-
-def _labelling(order: Sequence[int]) -> list[int]:
-    """The labelling that gives vertex order[i] label i."""
-    perm = [0] * len(order)
-    for i, v in enumerate(order):
-        perm[v] = i
-    return perm
 
 
 def _common_prefix(a: list[int], b: list[int]) -> int:
@@ -271,8 +265,8 @@ def _common_prefix(a: list[int], b: list[int]) -> int:
 
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 string: equal strings iff isomorphic graphs."""
-    perm, _ = canonical_search(g.n, g.adj)
-    return encode_graph6(g.n, permute_rows(g.adj, perm))
+    order, _ = canonical_search(g.n, g.adj)
+    return encode_graph6(g.n, relabel_rows(g.adj, order))
 
 
 def degree_triangle_invariant(g: Graph) -> tuple:

@@ -5,8 +5,7 @@ every split of every n-subset of items into (A, B), is there an item outside
 the subset adjacent to everything in A and nothing in B?  In vertex mode the
 items are vertices and the bitsets are the graph's rows; in line mode the
 items are graph edges or hyperedges, two of them adjacent when they share a
-vertex: ``graph_line_adjacency`` builds the bitsets of graph edges in one walk
-over the rows, and ``line_adjacency`` those of hyperedges.  The bitsets are
+vertex, and ``line_adjacency`` builds the bitsets of both.  The bitsets are
 arbitrary-width ints, so line mode never materializes a line graph and is not
 bound by the 64-vertex cap.  One split search, ``_ec_split_search``, decides
 every level in every mode, and ``xi``/``xi_line`` ascend through it.
@@ -23,31 +22,28 @@ representative (an image with a smaller least item would fail earlier), so
 searching the led prefixes in order finds the same certificate.  Any group
 will do, provided each representative is the *least* item of its orbit.
 
-Two groups supply the representatives.  Two vertices are *twins* when
-swapping them maps the edge set to itself.  Being twins is an equivalence,
-because (u w) = (u v)(v w)(u v), and the twin classes generate a group of
-automorphisms, all permutations within each class; two items lie in one of
-its orbits exactly when their vertices carry the same multiset of class
-labels.  Twins take one pass over the rows.  For crossing hypergraphs, whose
-group S_x x S_y leaves k - 1 edge orbits, that is k - 1 of the m prefixes at
-level 2.  Graphs also have the full automorphism group, generated by the
-permutations ``canon.canonical_search`` finds; in line mode each of them maps
-edge (u, v) to the sorted edge (p[u], p[v]).  Paley graphs have no twins but
-a vertex-transitive group, so only the prefixes led by vertex 0 remain.  The
-graph deciders use the full group from level 3 on, where the search checks
-C(count - 1, level - 1) prefixes, and twins at level 2, where it checks at
-most count - 2 more and one canonical search would cost more than it saves.
+Each kind of input has one group.  A graph's is its full automorphism group,
+generated by the permutations ``canon.canonical_search`` finds, at every
+level; in line mode each of them maps edge (u, v) to the sorted edge
+(p[u], p[v]).  Paley graphs have a vertex-transitive group, so only the
+prefixes led by vertex 0 remain.  A hypergraph's is the group its twin
+vertices generate (see ``hypergraphs``).
 
 The split search checks the prefixes led by item 0, the least item of its
 orbit under any group, before it asks a decider for symmetry: most small
 graphs fail at one of them, and in vertex mode a vertex-transitive graph
-fails nowhere else.  A decider finds each group at most once per call, the
-full group's leaders by ``canon.orbit_leaders``.
+fails nowhere else.  A decider finds its group at most once per call, and a
+graph decider its leaders by ``canon.orbit_leaders``.  So the searches and
+``filter``, which ask only level-2 questions, rarely pay for a canonical
+search: in one pass of each benchmark workload (the order-8 searches, the
+constructions, the filter stream) the graph deciders asked for symmetry 8,
+21 and 10 times and ran 8, 15 and 10 canonical searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, islice
 from math import comb
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -82,18 +78,18 @@ class EcVerdict:
 
 
 def _ec_split_search(
-    adjacency: Sequence[int], count: int, level: int, orbit_reps: Callable[[int], Sequence[int]] | None = None
+    adjacency: Sequence[int], count: int, level: int, orbit_reps: Callable[[], Sequence[int]] | None = None
 ) -> tuple[int, ...] | None:
     """First failing split packed as ``(*subset, a)`` in the certificate
     order, or None if the property holds.
 
     The (level-1)-prefixes are checked in lexicographic order, those led by
-    item 0 first.  ``orbit_reps``, when given, is asked only once they have
-    all passed, with the level, and returns the least item of each orbit of
-    a group of item permutations that preserve the adjacency.  When some
-    item is not a representative, only the prefixes led by the other
-    representatives are checked from then on, which keeps the first failing
-    split (see the module docstring).
+    item 0 first.  ``orbit_reps``, when given, is called only once they have
+    all passed, and returns the least item of each orbit of a group of item
+    permutations that preserve the adjacency.  When some item is not a
+    representative, only the prefixes led by the other representatives are
+    checked from then on, which keeps the first failing split (see the
+    module docstring).
     """
     prefixes: Iterable[tuple[int, ...]] = combinations(range(count - 1), level - 1)
     if orbit_reps is None or not 2 <= level < count:
@@ -101,7 +97,7 @@ def _ec_split_search(
     failure = _first_failure(adjacency, count, islice(prefixes, comb(count - 2, level - 2)))
     if failure is not None:
         return failure
-    if len(leaders := orbit_reps(level)) < count:
+    if len(leaders := orbit_reps()) < count:
         prefixes = _led_prefixes(leaders[1:], count, level)
     return _first_failure(adjacency, count, prefixes)
 
@@ -163,57 +159,12 @@ def _first_failure(
 # symmetry
 
 
-def graph_twin_classes(adj: Sequence[int]) -> list[int]:
-    """Twin class label of each vertex of a graph, labels in order of first
-    vertex.
-
-    u and v are twins when ``(adj[u] ^ adj[v]) & ~(bit u | bit v) == 0``:
-    equal open neighbourhoods if they are not adjacent, equal closed ones if
-    they are.  The first vertex of each class files both of its
-    neighbourhoods, and a later vertex joins the class whose first vertex it
-    matches.  N(x) = N[y] would put x in its own neighbourhood, so one dict
-    serves both kinds."""
-    first: dict[int, int] = {}
-    labels = []
-    for v, row in enumerate(adj):
-        label = first.get(row, first.get(row | 1 << v))
-        if label is None:
-            label = first[row] = first[row | 1 << v] = len(first) // 2
-        labels.append(label)
-    return labels
-
-
-def twin_orbit_reps(labels: Sequence[int], items: Sequence[Sequence[int]]) -> list[int]:
-    """The least item of every orbit of the group the twin classes generate,
-    ascending; ``labels`` gives each vertex its class and items are vertex
-    tuples."""
-    if len(set(labels)) == len(labels):  # no twins: every item is its own orbit
-        return list(range(len(items)))
-    firsts: dict[tuple[int, ...], int] = {}
-    for i, item in enumerate(items):
-        firsts.setdefault(tuple(sorted(map(labels.__getitem__, item))), i)
-    return list(firsts.values())
-
-
-def _graph_reps(g: Graph, edges: Sequence[tuple[int, int]] | None = None) -> Callable[[int], list[int]]:
-    """Orbit-representative source for one decider call on g, over its
-    vertices or the given edges: the twin group's at level 2, the full
-    automorphism group's from level 3 (see the module docstring), each
-    computed at most once."""
-    found: dict[bool, list[int]] = {}
-
-    def reps(level: int) -> list[int]:
-        full = level >= 3
-        if full not in found:
-            items = [(v,) for v in range(g.n)] if edges is None else edges
-            if full:
-                _, gens = canonical_search(g.n, g.adj)
-                found[full] = orbit_leaders([sum(1 << v for v in item) for item in items], gens)
-            else:
-                found[full] = twin_orbit_reps(graph_twin_classes(g.adj), items)
-        return found[full]
-
-    return reps
+def _graph_reps(g: Graph, edges: Sequence[tuple[int, int]] | None = None) -> list[int]:
+    """The least item of each orbit of the full automorphism group of g,
+    over its vertices or the given edges (see the module docstring)."""
+    _, gens = canonical_search(g.n, g.adj)
+    items = [1 << v for v in range(g.n)] if edges is None else [1 << u | 1 << v for u, v in edges]
+    return orbit_leaders(items, gens)
 
 
 def _verdict(level: int, failure: tuple[int, ...] | None, items: Sequence[Any]) -> EcVerdict:
@@ -229,13 +180,15 @@ def is_n_ec(g: Graph, n: int) -> EcVerdict:
     """Decide whether g is n-existentially closed over vertices."""
     if not 1 <= n <= g.n:
         raise GraphError(f"level must be 1..{g.n} for this graph, got {n}")
-    failure = _ec_split_search(g.adj, g.n, n, _graph_reps(g))
+    failure = _ec_split_search(g.adj, g.n, n, lambda: _graph_reps(g))
     return _verdict(n, failure, range(g.n))
 
 
-def _closure_number(adjacency: Sequence[int], count: int, orbit_reps: Callable[[int], Sequence[int]]) -> int:
+def _closure_number(adjacency: Sequence[int], count: int, orbit_reps: Callable[[], Sequence[int]]) -> int:
     """Largest level the split search passes; ascending stops at the first
-    failure, which is valid because the property is monotone."""
+    failure, which is valid because the property is monotone.  The levels
+    share one call of ``orbit_reps``."""
+    orbit_reps = cache(orbit_reps)
     level = 0
     while level < count and _ec_split_search(adjacency, count, level + 1, orbit_reps) is None:
         level += 1
@@ -244,7 +197,7 @@ def _closure_number(adjacency: Sequence[int], count: int, orbit_reps: Callable[[
 
 def xi(g: Graph) -> int:
     """Largest n for which g is n-e.c.; 0 when not even 1-e.c."""
-    return _closure_number(g.adj, g.n, _graph_reps(g))
+    return _closure_number(g.adj, g.n, lambda: _graph_reps(g))
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +216,8 @@ def vertex_stars(items: Sequence[Sequence[int]], n: int) -> list[int]:
 def line_adjacency(items: Sequence[Sequence[int]], n: int) -> list[int]:
     """Per-item bitsets over item indices: bit j of entry i set iff items i and j meet.
 
-    Items are vertex tuples over 0..n-1 (hyperedges; graph edges go through
-    ``graph_line_adjacency``), listed in the order their indices take in
-    certificates and line graphs.
+    Items are vertex tuples over 0..n-1, graph edges or hyperedges, listed in
+    the order their indices take in certificates and line graphs.
     """
     stars = vertex_stars(items, n)
     out = []
@@ -277,50 +229,25 @@ def line_adjacency(items: Sequence[Sequence[int]], n: int) -> list[int]:
     return out
 
 
-def graph_line_adjacency(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
-    """``g.edges()`` and ``line_adjacency(g.edges(), g.n)``, from one walk
-    over the rows.
-
-    Each edge (u, v), u < v, takes the next index in lexicographic order and
-    sets its bit in the stars of u and v.  Two edges of a simple graph share
-    at most one vertex, so star(u) & star(v) is the edge uv alone and its
-    line row is star(u) ^ star(v).
-    """
-    edges = []
-    stars = [0] * g.n
-    for u, row in enumerate(g.adj):
-        above = row >> u >> 1
-        v = u
-        while above:
-            step = (above & -above).bit_length()
-            above >>= step
-            v += step
-            bit = 1 << len(edges)
-            edges.append((u, v))
-            stars[u] |= bit
-            stars[v] |= bit
-    return edges, [stars[u] ^ stars[v] for u, v in edges]
-
-
 def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Line graph of g plus the vertex->edge map (edges in lexicographic order)."""
-    edges, adjacency = graph_line_adjacency(g)
+    edges = g.edges()
     m = len(edges)
     if m == 0:
         raise GraphError("line graph of an edgeless graph is empty")
     if m > MAX_VERTICES:
         raise GraphError(f"line graph would have {m} > {MAX_VERTICES} vertices")
-    return Graph(m, tuple(adjacency)), tuple(edges)
+    return Graph(m, tuple(line_adjacency(edges, g.n))), tuple(edges)
 
 
 def is_n_line_ec(g: Graph, n: int) -> EcVerdict:
     """Decide whether g is n-line existentially closed (over edges)."""
-    edges, adjacency = graph_line_adjacency(g)
+    edges = g.edges()
     m = len(edges)
     if not 1 <= n <= m:
         raise GraphError(f"level must be 1..{m} for this graph, got {n}" if m
                          else "this graph has no edges, so no line level applies")
-    return _verdict(n, _ec_split_search(adjacency, m, n, _graph_reps(g, edges)), edges)
+    return _verdict(n, _ec_split_search(line_adjacency(edges, g.n), m, n, lambda: _graph_reps(g, edges)), edges)
 
 
 def xi_line(g: Graph) -> int:
@@ -329,8 +256,8 @@ def xi_line(g: Graph) -> int:
     Every level, the third included, is decided by the one split search over
     one adjacency list; the theorem that the value never exceeds 2 is asserted.
     """
-    edges, adjacency = graph_line_adjacency(g)
-    level = _closure_number(adjacency, len(edges), _graph_reps(g, edges))
+    edges = g.edges()
+    level = _closure_number(line_adjacency(edges, g.n), len(edges), lambda: _graph_reps(g, edges))
     if level > 2:
         raise AssertionError(f"graph found {level}-line e.c.; levels beyond 2 are impossible")
     return level

@@ -103,7 +103,10 @@ class Graph:
 
     def permuted(self, perm: Sequence[int]) -> "Graph":
         """Relabel: vertex v becomes perm[v]."""
-        return Graph(self.n, permute_rows(self.adj, perm))
+        order = [0] * self.n
+        for v, label in enumerate(perm):
+            order[label] = v
+        return Graph(self.n, relabel_rows(self.adj, order))
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced by ``vertices``, relabelled 0.. in the given order."""
@@ -121,15 +124,6 @@ class Graph:
                 if j is not None:
                     rows[i] |= 1 << j
         return Graph(k, tuple(rows))
-
-
-def permute_rows(adj: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency rows relabelled so that vertex v becomes perm[v].  The rows
-    must be symmetric, as a Graph's are: see ``relabel_rows``."""
-    order = [0] * len(perm)
-    for v, label in enumerate(perm):
-        order[label] = v
-    return relabel_rows(adj, order)
 
 
 def _swap_masks(width: int) -> list[tuple[int, int]]:

@@ -4,6 +4,16 @@ Edges are vertex subsets stored as bitmasks and kept sorted by integer value,
 which fixes the edge indexing used everywhere (checks, line graphs, the text
 format).  Closure checking works directly on edge intersections, so the number
 of edges is not limited by the 64-vertex cap of the Graph type.
+
+The closure check reduces by the group that twin vertices generate (see
+``ec`` for why any group keeps the verdict and the certificate).  Two
+vertices are *twins* when swapping them maps the edge set to itself.  Being
+twins is an equivalence, because (u w) = (u v)(v w)(u v), and the twin
+classes generate a group of automorphisms, all permutations within each
+class; two edges lie in one of its orbits exactly when their vertices carry
+the same multiset of class labels.  For crossing hypergraphs, whose group
+S_x x S_y leaves k - 1 edge orbits, the level-2 search checks k - 1 of its m
+prefixes.
 """
 
 from __future__ import annotations
@@ -11,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .ec import EcVerdict, _ec_split_search, _verdict, line_adjacency, twin_orbit_reps, vertex_stars
+from .ec import EcVerdict, _ec_split_search, _verdict, line_adjacency, vertex_stars
 from .graph6 import SPACE, numbered_lines
 from .graphs import Graph, GraphError, MAX_VERTICES, bits
 
@@ -135,7 +145,7 @@ def is_n_line_ec_hyper(h: Hypergraph, n: int) -> EcVerdict:
                               else "this hypergraph has no edges, so no line level applies")
     items = [tuple(bits(e)) for e in h.edges]
     failure = _ec_split_search(
-        line_adjacency(items, h.n), m, n, lambda level: twin_orbit_reps(_hypergraph_twin_classes(h), items)
+        line_adjacency(items, h.n), m, n, lambda: twin_orbit_reps(_hypergraph_twin_classes(h), items)
     )
     return _verdict(n, failure, items)
 
@@ -159,6 +169,18 @@ def _hypergraph_twin_classes(h: Hypergraph) -> list[int]:
             labels.append(len(firsts))
             firsts.append(v)
     return labels
+
+
+def twin_orbit_reps(labels: Sequence[int], items: Sequence[Sequence[int]]) -> list[int]:
+    """The least item of every orbit of the group the twin classes generate,
+    ascending; ``labels`` gives each vertex its class and items are vertex
+    tuples."""
+    if len(set(labels)) == len(labels):  # no twins: every item is its own orbit
+        return list(range(len(items)))
+    firsts: dict[tuple[int, ...], int] = {}
+    for i, item in enumerate(items):
+        firsts.setdefault(tuple(sorted(map(labels.__getitem__, item))), i)
+    return list(firsts.values())
 
 
 def crossing_hypergraph(x: int, y: int, k: int) -> Hypergraph:

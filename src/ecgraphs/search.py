@@ -192,8 +192,8 @@ def _accepts(rows: list[int], deletable: int) -> tuple[bool, list[tuple[int, ...
     rivals = cells[ci] & deletable
     if rivals == 1 << vn:
         return True, None, cells
-    perm, gens = canonical_search(k, rows, cells)
-    chosen = min(bits(rivals), key=perm.__getitem__)
+    order, gens = canonical_search(k, rows, cells)
+    chosen = next(v for v in order if rivals >> v & 1)
     return orbit_closure(1 << chosen, gens) >> vn & 1 == 1, gens, cells
 
 

@@ -307,8 +307,8 @@ def brute_accepts(g: Graph, connected: bool) -> bool:
                 if not connected or is_connected(g.induced([u for u in range(n) if u != v]))}
     cells = refine_partition(n, g.adj, [(1 << n) - 1])
     cell = next(c for c in cells if any(c >> v & 1 for v in eligible))
-    perm, gens = canonical_search(n, g.adj)
-    chosen = min((v for v in eligible if cell >> v & 1), key=lambda v: perm[v])
+    order, gens = canonical_search(n, g.adj)
+    chosen = next(v for v in order if v in eligible and cell >> v & 1)
     orbits = orbit_partition(n, gens)
     return orbits[chosen] == orbits[n - 1]
 
@@ -339,9 +339,9 @@ def reduced_outcomes(monkeypatch) -> Counter:
     switched to the prefixes led by orbit representatives (a generator; the
     ordered prefixes come from itertools), so a test can show that its
     inputs drive the reduced search both ways.  The keys ``(source,
-    outcome)`` count them again by the source of the representatives,
-    ``"twins"`` or ``"automorphism"``: the one computed last, since a decider
-    asks for its sources in ascending level order."""
+    outcome)`` count them again by the source of the representatives: the
+    automorphism group (graphs) or the twins (hypergraphs), whichever was
+    computed last."""
     seen: Counter = Counter()
     source = [None]
     real = ec._first_failure
@@ -361,8 +361,7 @@ def reduced_outcomes(monkeypatch) -> Counter:
 
     monkeypatch.setattr(ec, "_first_failure", counted)
     monkeypatch.setattr(ec, "canonical_search", tagged("automorphism", ec.canonical_search))
-    for module in (ec, hypergraphs):
-        monkeypatch.setattr(module, "twin_orbit_reps", tagged("twins", ec.twin_orbit_reps))
+    monkeypatch.setattr(hypergraphs, "twin_orbit_reps", tagged("twins", hypergraphs.twin_orbit_reps))
     return seen
 
 

@@ -1,20 +1,19 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from ecgraphs import canon, ec
+from ecgraphs import canon, ec, search
 from ecgraphs.canon import is_isomorphic
 from ecgraphs.constructions import paley
 from ecgraphs.ec import (
     EcVerdict,
     _ec_split_search,
     _verdict,
-    graph_line_adjacency,
     is_n_ec,
     is_n_line_ec,
     line_adjacency,
     line_graph,
-    graph_twin_classes,
     xi,
     xi_line,
 )
@@ -32,6 +31,7 @@ from ecgraphs.graphs import (
     empty_graph,
     has_induced_2k2,
     path_graph,
+    relabel_rows,
 )
 from ecgraphs.graph6 import write_graph6
 from ecgraphs.search import SearchConstraints, enumerate_connected, filter_stream, run_named_search
@@ -151,14 +151,17 @@ def test_line_graph_adjacency_matches_edge_intersection():
                 assert lg.has_edge(i, j) == expected
 
 
-def test_graph_line_adjacency_matches_edges_then_line_adjacency(rng):
-    inputs = [complete_graph(1), empty_graph(9), complete_graph(64)]
-    inputs += [random_graph(rng, rng.randrange(1, 65), rng.choice([0.05, 0.3, 0.7])) for _ in range(60)]
+def test_line_adjacency_of_graph_edges_matches_edge_intersection(rng):
+    # two edges of a graph are adjacent when they share an endpoint; K64's
+    # 2,016 edges each meet 2 * 62 others
+    inputs = [complete_graph(1), empty_graph(9)]
+    inputs += [random_graph(rng, rng.randrange(1, 30), rng.choice([0.05, 0.3, 0.7])) for _ in range(60)]
     for g in inputs:
         edges = g.edges()
-        assert graph_line_adjacency(g) == (edges, line_adjacency(edges, g.n))
-    edges, adjacency = graph_line_adjacency(complete_graph(64))
-    assert len(edges) == 2016 and all(row.bit_count() == 2 * 62 for row in adjacency)
+        want = [sum(1 << j for j, f in enumerate(edges) if j != i and set(e) & set(f)) for i, e in enumerate(edges)]
+        assert line_adjacency(edges, g.n) == want, g.adj
+    adjacency = line_adjacency(complete_graph(64).edges(), 64)
+    assert len(adjacency) == 2016 and all(row.bit_count() == 2 * 62 for row in adjacency)
 
 
 def test_line_graph_errors():
@@ -373,7 +376,7 @@ def test_verdict_json_shape():
     assert is_n_ec(ROOK, 2).to_json() == {"level": 2, "holds": True, "certificate": None}
 
 
-# -- twin-symmetry reduction ---------------------------------------------------------
+# -- symmetry reduction on graphs with twins ----------------------------------------
 
 
 def planted_twin_graph(rng, n: int) -> Graph:
@@ -394,18 +397,10 @@ def planted_twin_graph(rng, n: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def test_twin_classes_match_definition(rng):
-    for _ in range(300):
-        g = planted_twin_graph(rng, rng.randrange(1, 10))
-        expected = brute_twin_classes(g.n, lambda p: g.permuted(p).adj == g.adj)
-        assert graph_twin_classes(g.adj) == expected, g.adj
-    assert graph_twin_classes(complete_graph(5).adj) == [0] * 5  # adjacent twins
-    assert graph_twin_classes(cycle_graph(4).adj) == [0, 1, 0, 1]  # non-adjacent twins
-
-
 def test_twin_reduction_matches_unreduced_search(rng, reduced_outcomes):
     # vertex and line mode, levels 1-4, and both closure numbers: the
-    # reduced deciders give the unreduced verdict and certificate
+    # deciders, reduced by a group that holds every swap of two twins, give
+    # the unreduced verdict and certificate
     for _ in range(1000):
         g = planted_twin_graph(rng, rng.randrange(1, 10))
         edges = g.edges()
@@ -417,7 +412,24 @@ def test_twin_reduction_matches_unreduced_search(rng, reduced_outcomes):
                 assert is_n_line_ec(g, level) == unreduced_verdict(line, edges, level), (g.adj, level)
         assert xi(g) == unreduced_closure_number(g.adj)
         assert xi_line(g) == unreduced_closure_number(line)
-    assert reduced_outcomes["twins", True] >= 50 and reduced_outcomes["twins", False] >= 50, reduced_outcomes
+    assert reduced_outcomes["automorphism", True] >= 50, reduced_outcomes
+    assert reduced_outcomes["automorphism", False] >= 50, reduced_outcomes
+
+
+def test_level_two_matches_unreduced_search_on_every_graph_up_to_order_8(rng, reduced_outcomes):
+    # every graph on 2-8 vertices, connected or not, and one relabelled copy
+    # of each: both level-2 deciders give the unreduced verdict and certificate
+    classes = 0
+    for n in range(2, 9):
+        for g in enumerate_connected(n, SearchConstraints(require_connected=False)):
+            classes += 1
+            for h in (g, g.permuted(random_permutation(rng, n))):
+                assert is_n_ec(h, 2) == unreduced_verdict(h.adj, range(n), 2), h.adj
+                edges = h.edges()
+                if len(edges) >= 2:
+                    assert is_n_line_ec(h, 2) == unreduced_verdict(line_adjacency(edges, n), edges, 2), h.adj
+    assert classes == 2 + 4 + 11 + 34 + 156 + 1044 + 12346
+    assert reduced_outcomes[True] >= 1000 and reduced_outcomes[False] >= 1000, reduced_outcomes
 
 
 def test_twin_pair_at_the_end_is_the_first_failure():
@@ -434,38 +446,7 @@ def test_twin_pair_at_the_end_is_the_first_failure():
         assert (v.certificate_a, v.certificate_b) == ((12,), (13,))
 
 
-def test_twins_are_not_sought_when_the_first_prefix_fails(monkeypatch, rng):
-    # most small graphs fail at a prefix led by item 0 (at level 2 the first
-    # prefix), and finding twins would cost them more than the whole check
-    found = []
-    real = ec.graph_twin_classes
-
-    def spy(*args):
-        found.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(ec, "graph_twin_classes", spy)
-    first_fails = asked = 0
-    for _ in range(300):
-        g = planted_twin_graph(rng, rng.randrange(2, 10))
-        edges = g.edges()
-        for level in (2, 3):
-            for decide, adjacency, count in ((is_n_ec, g.adj, g.n),
-                                             (is_n_line_ec, line_adjacency(edges, g.n), len(edges))):
-                if level > count:
-                    continue
-                failure = _ec_split_search(adjacency, count, level)
-                found.clear()
-                decide(g, level)
-                if failure is not None and failure[0] == 0:  # a 0-led prefix fails
-                    assert not found, (g.adj, level)
-                    first_fails += 1
-                else:
-                    asked += bool(found)
-    assert first_fails >= 500 and asked >= 30, (first_fails, asked)
-
-
-# -- automorphism reduction (level 3 and up) -------------------------------------------
+# -- automorphism reduction on twin-free graphs -----------------------------------------
 
 PETERSEN = Graph.from_edges(
     10,
@@ -480,10 +461,15 @@ def cayley_graph(n: int, jumps) -> Graph:
     return Graph.from_edges(n, {tuple(sorted((v, (v + j) % n))) for v in range(n) for j in jumps if j % n})
 
 
+def twin_free(g: Graph) -> bool:
+    """No swap of two vertices is an automorphism of g (a swap is its own
+    inverse, so it is also the vertex order ``relabel_rows`` takes)."""
+    return len(set(brute_twin_classes(g.n, lambda p: relabel_rows(g.adj, p) == g.adj))) == g.n
+
+
 def twin_free_symmetric_graphs(rng):
-    """(graph, levels) pairs: vertex-transitive graphs without twins, so the
-    twin source reduces nothing and every reduction comes from the full
-    automorphism group.  The large random Cayley graphs often pass the first
+    """(graph, levels) pairs: vertex-transitive graphs without twins, so
+    every reduction needs automorphisms that move more than two vertices.  The large random Cayley graphs often pass the first
     level-3 prefix and fail a later one."""
     cases = [(paley(q), range(1, 5)) for q in (5, 9, 13, 17, 25, 29)]
     cases += [(paley(q), (3, 4)) for q in (37, 41, 49, 53, 61)]
@@ -494,7 +480,7 @@ def twin_free_symmetric_graphs(rng):
         while drawn < count:
             n = rng.randrange(lo, hi)
             g = cayley_graph(n, [j for j in range(1, n // 2 + 1) if rng.random() < 0.5])
-            if len(set(graph_twin_classes(g.adj))) == n:
+            if twin_free(g):
                 cases.append((g, levels))
                 drawn += 1
     return cases
@@ -530,11 +516,6 @@ def assert_matches_unreduced(g: Graph, levels) -> None:
     assert xi_line(g) == unreduced_closure_number(line), g.adj
 
 
-def full_group_reps(g: Graph, edges=None) -> list[int]:
-    """The representatives the level-3 source of a decider on g returns."""
-    return ec._graph_reps(g, edges)(3)
-
-
 def test_automorphism_orbit_reps_match_group_closure(rng):
     # every graph with n <= 6 in three labellings, over vertices and over
     # edges: the least item of each orbit of the group the generators generate
@@ -544,12 +525,12 @@ def test_automorphism_orbit_reps_match_group_closure(rng):
             classes += 1
             for h in (g, g.permuted(random_permutation(rng, n)), g.permuted(random_permutation(rng, n))):
                 _, gens = canon.canonical_search(h.n, h.adj)
-                assert full_group_reps(h) == brute_orbit_reps(n, gens, [(v,) for v in range(n)]), h.adj
-                assert full_group_reps(h, h.edges()) == brute_orbit_reps(n, gens, h.edges()), h.adj
+                assert ec._graph_reps(h) == brute_orbit_reps(n, gens, [(v,) for v in range(n)]), h.adj
+                assert ec._graph_reps(h, h.edges()) == brute_orbit_reps(n, gens, h.edges()), h.adj
     assert classes == 1 + 2 + 4 + 11 + 34 + 156
-    assert full_group_reps(paley(61)) == [0]
-    assert full_group_reps(PETERSEN, PETERSEN.edges()) == [0]
-    assert full_group_reps(path_graph(5), path_graph(5).edges()) == [0, 1]
+    assert ec._graph_reps(paley(61)) == [0]
+    assert ec._graph_reps(PETERSEN, PETERSEN.edges()) == [0]
+    assert ec._graph_reps(path_graph(5), path_graph(5).edges()) == [0, 1]
 
 
 def test_automorphism_reduction_matches_unreduced_search(rng, reduced_outcomes):
@@ -558,7 +539,7 @@ def test_automorphism_reduction_matches_unreduced_search(rng, reduced_outcomes):
     # search without symmetry
     cases = twin_free_symmetric_graphs(rng)
     for g, levels in cases:
-        assert len(set(graph_twin_classes(g.adj))) == g.n
+        assert twin_free(g)
         assert_matches_unreduced(g, levels)
     # the Paley graphs from q = 29 on are the 3-e.c. ones, so every sixth
     # relabelling is of one of them to drive the reduced search to a pass
@@ -569,7 +550,7 @@ def test_automorphism_reduction_matches_unreduced_search(rng, reduced_outcomes):
     # a search that passed its 0-led prefixes fails only on a subset that
     # avoids the orbit of vertex 0, so failures need graphs with such subsets
     for g in off_orbit_failures(rng, 40):
-        assert len(set(graph_twin_classes(g.adj))) == g.n
+        assert twin_free(g)
         assert_matches_unreduced(g, (3, 4))
     assert reduced_outcomes["automorphism", True] >= 50, reduced_outcomes
     assert reduced_outcomes["automorphism", False] >= 50, reduced_outcomes
@@ -637,46 +618,84 @@ def canon_calls(monkeypatch) -> list:
     return calls
 
 
-def test_canonical_search_stays_off_the_level_two_path(canon_calls, rng):
-    # the searches and filter ask only level-2 questions, whose prefix count
-    # is too small to pay for a canonical search
-    graphs = [paley(13), paley(61), ROOK, PETERSEN] + [random_graph(rng, rng.randrange(2, 10), 0.5) for _ in range(200)]
-    for g in graphs:
-        is_n_ec(g, 2)
-        if g.edge_count() >= 2:
-            is_n_line_ec(g, 2)
-    assert is_n_ec(paley(61), 2).holds
-    report = run_named_search("planar_2lec", 7)
-    assert len(report.survivors) == 5
-    lines = [write_graph6(g) for n in range(4, 8) for g in enumerate_connected(n)]
-    for predicates in (("two_ec",), ("two_line_ec",), ("planar", "two_line_ec")):
-        filter_stream(lines, SearchConstraints(predicates=predicates))
-    assert not canon_calls
+def counted(canon_calls, tally, decide, adjacency, count):
+    """``decide(g, level)`` that asserts it runs at most one canonical search
+    and none when a prefix led by item 0 fails, and tallies both cases by level."""
+    def call(g, level):
+        failure = _ec_split_search(adjacency(g), count(g), level)
+        canon_calls.clear()
+        verdict = decide(g, level)
+        assert len(canon_calls) <= 1, (g.adj, decide, level)
+        if failure is not None and failure[0] == 0:  # a 0-led prefix fails
+            assert not canon_calls, (g.adj, decide, level)
+            tally["first_fails", level] += 1
+        tally["asked", level] += len(canon_calls)
+        return verdict
+    return call
+
+
+def counted_deciders(canon_calls, tally):
+    return (counted(canon_calls, tally, is_n_ec, lambda g: g.adj, lambda g: g.n),
+            counted(canon_calls, tally, is_n_line_ec,
+                    lambda g: line_adjacency(g.edges(), g.n), lambda g: g.edge_count()))
 
 
 def test_canonical_search_runs_at_most_once_per_decider_call(canon_calls, rng):
-    # a closure number reuses the group across levels 3 and up, and no
-    # decider looks for it when a prefix led by item 0 fails
+    # at levels 2-4 a decider runs at most one canonical search and none when
+    # a prefix led by item 0 fails, and a closure number reuses the group
+    # across levels
+    tally = Counter()
+    vertex, line = counted_deciders(canon_calls, tally)
     graphs = [g for g, _ in twin_free_symmetric_graphs(rng)] + off_orbit_failures(rng, 6)
     graphs += [random_graph(rng, rng.randrange(3, 12), rng.choice([0.3, 0.5, 0.7])) for _ in range(300)]
-    first_fails = asked = 0
     for g in graphs:
-        edges = g.edges()
         for decide in (xi, xi_line):
             canon_calls.clear()
             decide(g)
             assert len(canon_calls) <= 1, (g.adj, decide)
-            asked += len(canon_calls)
-        for level in (3, 4):
-            for decide, adjacency, count in ((is_n_ec, g.adj, g.n),
-                                             (is_n_line_ec, line_adjacency(edges, g.n), len(edges))):
-                if level > count:
-                    continue
-                canon_calls.clear()
-                failure = _ec_split_search(adjacency, count, level)
-                decide(g, level)
-                assert len(canon_calls) <= 1, (g.adj, level)
-                if failure is not None and failure[0] == 0:  # a 0-led prefix fails
-                    assert not canon_calls, (g.adj, level)
-                    first_fails += 1
-    assert first_fails >= 500 and asked >= 10, (first_fails, asked)
+            tally["asked", decide.__name__] += len(canon_calls)
+        for level in (2, 3, 4):
+            if level <= g.n:
+                vertex(g, level)
+            if level <= g.edge_count():
+                line(g, level)
+    for key in (("first_fails", 2), ("first_fails", 3), ("first_fails", 4)):
+        assert tally[key] >= 300, tally
+    for key in (("asked", 2), ("asked", 3), ("asked", "xi"), ("asked", "xi_line")):
+        assert tally[key] >= 10, tally
+
+
+def test_symmetry_is_not_sought_when_the_first_prefix_fails(canon_calls, rng):
+    # most small graphs fail at a prefix led by item 0 (at level 2 the first
+    # prefix), and finding their group would cost them more than the whole
+    # check; graphs with planted twins pass those prefixes more often
+    tally = Counter()
+    vertex, line = counted_deciders(canon_calls, tally)
+    for _ in range(300):
+        g = planted_twin_graph(rng, rng.randrange(2, 10))
+        for level in (2, 3):
+            if level <= g.n:
+                vertex(g, level)
+            if level <= g.edge_count():
+                line(g, level)
+    assert tally["first_fails", 2] + tally["first_fails", 3] >= 500, tally
+    assert tally["asked", 2] + tally["asked", 3] >= 30, tally
+
+
+def test_searches_and_filter_run_at_most_one_canonical_search_per_question(canon_calls, monkeypatch):
+    # the searches and filter ask only level-2 questions, through the same
+    # deciders; a vertex-transitive graph that passes them runs one search
+    assert is_n_ec(paley(61), 2).holds
+    assert len(canon_calls) == 1
+    tally = Counter()
+    vertex, line = counted_deciders(canon_calls, tally)
+    monkeypatch.setattr(search, "is_n_ec", vertex)
+    monkeypatch.setattr(search, "is_n_line_ec", line)
+    assert len(run_named_search("planar_2lec", 7).survivors) == 5
+    asked_by_search = tally["asked", 2]
+    lines = [write_graph6(g) for n in range(4, 8) for g in enumerate_connected(n)]
+    for predicates in (("two_ec",), ("two_line_ec",), ("planar", "two_line_ec")):
+        filter_stream(lines, SearchConstraints(predicates=predicates))
+    assert set(tally) <= {("asked", 2), ("first_fails", 2)}, tally
+    assert asked_by_search >= 1 and tally["asked", 2] > asked_by_search, tally
+    assert tally["first_fails", 2] >= 100, tally

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from ecgraphs import canon, search
+from ecgraphs import canon, ec, search
 from ecgraphs.canon import canonical_form, canonical_search, degree_triangle_invariant
 from ecgraphs.catalog import planar_two_line_ec_graphs
 from ecgraphs.ec import is_n_ec, is_n_line_ec
@@ -271,11 +271,13 @@ def test_walk_hands_every_child_its_exact_deletable_mask(monkeypatch):
 def test_walk_refines_each_graph_from_the_unit_partition_once(monkeypatch):
     # _accepts refines each candidate child from the unit partition and hands
     # its cells to canonical_search and, for an accepted child with no rival,
-    # through the walk to the child's _neighborhoods; beyond those, only K1
-    # and the canonical form of each survivor start from the unit partition
+    # through the walk to the child's _neighborhoods; beyond those, only K1,
+    # the canonical form of each survivor and each canonical search of a
+    # closure decider start from the unit partition
     refine = canon.refine_partition
     accepts = search._accepts
-    unit = accepts_calls = 0
+    decider_search = ec.canonical_search
+    unit = accepts_calls = decider_searches = 0
 
     def counting(n, adj, cells, *rest):
         nonlocal unit
@@ -287,13 +289,22 @@ def test_walk_refines_each_graph_from_the_unit_partition_once(monkeypatch):
         accepts_calls += 1
         return accepts(rows, deletable)
 
+    def counting_decider_search(n, adj):
+        nonlocal decider_searches
+        decider_searches += 1
+        return decider_search(n, adj)
+
     monkeypatch.setattr(canon, "refine_partition", counting)
     monkeypatch.setattr(search, "refine_partition", counting)
     monkeypatch.setattr(search, "_accepts", counting_accepts)
+    monkeypatch.setattr(ec, "canonical_search", counting_decider_search)
+    searched = 0
     for name in search.NAMED_SEARCHES:
-        unit = accepts_calls = 0
+        unit = accepts_calls = decider_searches = 0
         report = run_named_search(name, 7)
-        assert accepts_calls and unit == accepts_calls + 1 + len(report.survivors), name
+        assert accepts_calls and unit == accepts_calls + 1 + len(report.survivors) + decider_searches, name
+        searched += decider_searches
+    assert searched, searched
 
 
 def test_neighborhoods_with_a_forced_size_match_brute_orbits():
