@@ -20,7 +20,10 @@ apart (2-regular unions of 3-, 4- and 5-cycles, say) remain slow: their
 subtrees are not images of each other, so nothing prunes them.
 
 Refinement splits each cell where it stands, by one adjacency row when the
-splitter is a single vertex (every individualized vertex is one).  So a
+splitter is a single vertex (every individualized vertex is one) and by
+neighbour counts otherwise; the two kinds differ only in how they find a
+cell's subcells, and one split step does the rest: it puts the subcells in
+the cell's place, queues them, drops new singletons and checks the halt.  So a
 caller asking only whether some vertex will precede another can stop it once
 one does, and one holding the refined unit partition hands it to
 ``canonical_search``, which then skips its root refinement.  Refinement skips
@@ -61,7 +64,11 @@ def refine_partition(
     Splits cells by neighbour counts into splitter sets, subcells ordered by
     ascending count; the result is deterministic and relabelling-equivariant.
     A splitter {s} splits each cell into its non-neighbours of s (count 0)
-    and its neighbours (count 1), by one row of ``adj``.  ``work`` optionally
+    and its neighbours (count 1), by one row of ``adj``, starting from the
+    first cell it splits.  Either way, one split step then takes a cell's
+    subcells: they replace it in the output, they are queued under the rule
+    below, new singletons leave ``multi``, and a split of v's cell sets the
+    halt from the subcells before v's.  ``work`` optionally
     restricts the initial splitter queue (used after individualization: only
     the new singleton needs processing at first).
 
@@ -101,7 +108,8 @@ def refine_partition(
     halt = 0
     while queue and multi and not halt:
         splitter = queue.popleft()
-        if not splitter & (splitter - 1):  # one vertex: split by its row
+        one = not splitter & (splitter - 1)
+        if one:  # split by the vertex's row, from the first cell it splits
             row = adj[splitter.bit_length() - 1] if splitter else 0
             if not row & multi:
                 continue
@@ -111,54 +119,43 @@ def refine_partition(
                     break
             else:
                 continue
-            out = cells[:first]
-            for cell in cells[first:]:
-                hit = cell & row
-                if hit and hit != cell:
-                    miss = cell ^ hit
-                    out += (miss, hit)
-                    if cell & made or cell in work:
-                        queue.append(miss)
-                    else:
-                        queue += (miss, hit)
-                    made |= cell
-                    if not miss & (miss - 1):
-                        multi ^= miss
-                    if not hit & (hit - 1):
-                        multi ^= hit
-                    if hit & vbit:
-                        halt = miss & early
-                else:
-                    out.append(cell)
+            out, rest = cells[:first], cells[first:]
         else:
-            out = []
-            for cell in cells:
-                if not cell & (cell - 1):  # singleton
+            out, rest = [], cells
+        for cell in rest:
+            # the kinds differ only here: subs, the subcells of a cell that splits
+            if one:
+                hit = cell & row
+                if not hit or hit == cell:
                     out.append(cell)
                     continue
+                subs = (cell ^ hit, hit)
+            elif cell & (cell - 1):
                 groups: dict[int, int] = {}
                 m = cell
                 while m:
                     low = m & -m
-                    v = low.bit_length() - 1
                     m ^= low
-                    cnt = (adj[v] & splitter).bit_count()
+                    cnt = (adj[low.bit_length() - 1] & splitter).bit_count()
                     groups[cnt] = groups.get(cnt, 0) | low
                 if len(groups) == 1:
                     out.append(cell)
-                else:
-                    subs = [groups[cnt] for cnt in sorted(groups)]
-                    out += subs
-                    if cell & made or cell in work:
-                        queue += subs[:-1]
-                    else:
-                        queue += subs
-                    made |= cell
-                    for sub in subs:
-                        if not sub & (sub - 1):
-                            multi ^= sub
-                    if cell & vbit:  # disjoint subcells: their sum is their union
-                        halt = sum(subs[: next(i for i, sub in enumerate(subs) if sub & vbit)]) & early
+                    continue
+                subs = [groups[cnt] for cnt in sorted(groups)]
+            else:  # a singleton never splits
+                out.append(cell)
+                continue
+            # the split step
+            out += subs
+            queue += subs
+            if cell & made or cell in work:
+                queue.pop()  # every subcell but the last
+            made |= cell
+            for sub in subs:
+                if not sub & (sub - 1):
+                    multi ^= sub
+            if cell & vbit:  # disjoint subcells: their sum is their union
+                halt = sum(subs[: next(i for i, sub in enumerate(subs) if sub & vbit)]) & early
         cells = out
     return cells
 
@@ -186,16 +183,6 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
     first: tuple | None = None
     best: tuple | None = None
 
-    def record_automorphism(o1: Sequence[int], o2: Sequence[int]) -> None:
-        # identical relabelled rows under both orders: the vertex labelled i
-        # in one maps to the vertex labelled i in the other, an automorphism
-        sigma = [0] * n
-        for v, w in zip(o1, o2):
-            sigma[v] = w
-        sigma = tuple(sigma)
-        if sigma != identity and sigma not in gens:
-            gens.append(sigma)
-
     def descend(cells: list[int], path: list[int]) -> int:
         """Explore the node reached by individualizing ``path``; return the
         depth at which the search resumes (``len(path)``: carry on here)."""
@@ -207,16 +194,21 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
             key = relabel_rows(adj, order)
             if first is None:
                 first = best = (key, order, path)
-            elif key == first[0]:
-                # this subtree up to the common ancestor mirrors the first path
-                record_automorphism(order, first[1])
-                return _common_prefix(path, first[2])
-            elif key < best[0]:
+                return depth
+            for rows, ref, ref_path in (first, best):
+                if key == rows:
+                    # the vertex labelled i here maps to the vertex labelled
+                    # i there, an automorphism, and this subtree up to the
+                    # common ancestor mirrors that path
+                    sigma = [0] * n
+                    for v, w in zip(order, ref):
+                        sigma[v] = w
+                    sigma = tuple(sigma)
+                    if sigma != identity and sigma not in gens:
+                        gens.append(sigma)
+                    return _common_prefix(path, ref_path)
+            if key < best[0]:
                 best = (key, order, path)
-            elif key == best[0]:
-                # likewise for the best path
-                record_automorphism(order, best[1])
-                return _common_prefix(path, best[2])
             return depth
 
         cell = cells[target]

@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("xi", help="largest holding closure level")
     p.add_argument("input", nargs="?", default="-")
     p.set_defaults(run=lambda a: _emit({"value": xi(_read_graph(a.input))}))
-    p = sub.add_parser("line-xi", help="largest holding closure level")
+    p = sub.add_parser("line-xi", help="largest holding line (edge) closure level")
     p.add_argument("input", nargs="?", default="-")
     p.set_defaults(run=lambda a: _emit({"value": xi_line(_read_graph(a.input))}))
 

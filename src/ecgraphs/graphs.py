@@ -102,11 +102,14 @@ class Graph:
         return out
 
     def permuted(self, perm: Sequence[int]) -> "Graph":
-        """Relabel: vertex v becomes perm[v]."""
+        """Relabel: vertex v becomes perm[v]; ``perm`` must be a permutation
+        of 0..n-1.  The rows of a valid graph, relabelled, are valid."""
+        if sorted(perm) != list(range(self.n)):
+            raise GraphError(f"not a permutation of 0..{self.n - 1}: {list(perm)}")
         order = [0] * self.n
         for v, label in enumerate(perm):
             order[label] = v
-        return Graph(self.n, relabel_rows(self.adj, order))
+        return Graph._trusted(self.n, relabel_rows(self.adj, order))
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced by ``vertices``, relabelled 0.. in the given order."""

@@ -17,7 +17,7 @@ from ecgraphs.canon import (
 from ecgraphs.catalog import named_graph
 from ecgraphs.constructions import paley
 from ecgraphs.ec import line_graph
-from ecgraphs.graph6 import write_graph6
+from ecgraphs.graph6 import parse_graph6, write_graph6
 from ecgraphs.graphs import (
     Graph,
     bits,
@@ -254,7 +254,9 @@ def test_canonical_forms_pinned():
 # canonical_search visits, recorded while a node still kept its orbits in a
 # union-find; the skip rule must not move them.  In C4 + C6 under this
 # relabelling, a generator that moves the path would merge two children that
-# the path's stabilizer keeps apart.
+# the path's stabilizer keeps apart.  A leaf equal to the best leaf, which
+# is not the first, yields an automorphism and a jump back: GqLcGs takes 19
+# without both, and IOGQCOES? (a C4 + C6) 21 without the jump alone.
 TREE_NODES = {
     "K8": (lambda: complete_graph(8), 36),
     "K4,4": (lambda: complete_bipartite(4, 4), 34),
@@ -264,6 +266,8 @@ TREE_NODES = {
     "C16": (lambda: cycle_graph(16), 6),
     "E8": (lambda: empty_graph(8), 36),
     "C4+C6 relabelled": (lambda: _cycle_union([4, 6]).permuted(random_permutation(random.Random(8), 10)), 30),
+    "GqLcGs": (lambda: parse_graph6("GqLcGs"), 14),
+    "IOGQCOES?": (lambda: parse_graph6("IOGQCOES?"), 20),
 }
 
 

@@ -232,6 +232,14 @@ def test_predicate_help_lists_the_predicate_table(capsys):
     assert run_cli(capsys, "enumerate", "--order", "4", "--predicate", "no_such_name")[0] == 2
 
 
+def test_xi_and_line_xi_help_differ(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    lines = capsys.readouterr().out.splitlines()
+    helps = [" ".join(line.split()[1:]) for line in lines if line.split()[:1] in (["xi"], ["line-xi"])]
+    assert len(helps) == 2 and helps[0] != helps[1], helps
+
+
 def test_filter(capsys, tmp_path):
     stream = tmp_path / "in.g6"
     stream.write_text("\n".join([K33_LINE, write_graph6(complete_graph(5))]) + "\n")

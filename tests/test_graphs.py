@@ -67,6 +67,14 @@ def test_induced_refuses_out_of_range_vertices():
         p4.induced([1, 1])
 
 
+def test_permuted_refuses_anything_but_a_permutation():
+    p3 = path_graph(3)
+    assert p3.permuted([2, 0, 1]) == Graph.from_edges(3, [(2, 0), (0, 1)])
+    for perm in ([0, 0, 2], [0, 1], [0, 1, -1], [0, 1, 2, 3]):
+        with pytest.raises(GraphError, match="permutation"):
+            p3.permuted(perm)
+
+
 def _relabelled_bit_by_bit(adj, perm) -> tuple[int, ...]:
     """Rows relabelled one adjacency bit at a time: bit u of row v set means
     bit perm[u] of row perm[v] set."""
