@@ -29,23 +29,37 @@ level; in line mode each of them maps edge (u, v) to the sorted edge
 prefixes led by vertex 0 remain.  A hypergraph's is the group its twin
 vertices generate (see ``hypergraphs``).
 
-The split search checks the prefixes led by item 0, the least item of its
-orbit under any group, before it asks a decider for symmetry: most small
-graphs fail at one of them, and in vertex mode a vertex-transitive graph
-fails nowhere else.  A decider finds its group at most once per call, and a
-graph decider its leaders by ``canon.orbit_leaders``.  So the searches and
-``filter``, which ask only level-2 questions, rarely pay for a canonical
-search: in one pass of each benchmark workload (the order-8 searches, the
-constructions, the filter stream) the graph deciders asked for symmetry 8,
-21 and 10 times and ran 8, 15 and 10 canonical searches.
+The split search reads one lazy stream of prefixes: those led by item 0,
+the least item of its orbit under any group, then, only once they all pass,
+those led by the other representatives.  Most small graphs fail at a 0-led
+prefix, and in vertex mode a vertex-transitive graph fails nowhere else, so
+the searches and ``filter``, which ask only level-2 questions, rarely pay
+for a canonical search (8, 15 and 10 in one pass of the three benchmark
+workloads).  A decider finds its group at most once per call.
+
+Which graphs are 2-line e.c. is known.  Theorem: a graph with no isolated
+vertex and at least two edges is 2-line e.c. if and only if its minimum
+degree is at least 3, it is 2K2-free, and no two edges span a vertex
+cover.  Necessity: ({}, {e, f}) fails when e and f span a cover, and
+({e, f}, {}) when they form an induced 2K2.  If deg v = 1 on the edge uv,
+({uv}, {uw}) fails for an edge uw, and ({uv}, {f}) for every other edge f
+when uv is a component.  If N(v) = {u, w}, ({vu, vw}, {}) fails when uw
+is no edge, and ({uv}, {uw}) when it is one.  Sufficiency: take edges
+e = uv and f.  ({}, {e, f}) passes as e and f span no cover.  ({e, f}, {})
+passes by an edge between them when they are disjoint (2K2-free), or by a
+third edge at their common vertex (degree >= 3).  ({e}, {f}) with f = vx
+passes by an edge uw with w not in {v, x} (degree >= 3).  With f = xy
+disjoint from e, were it to fail, every edge at u or v but e would meet x
+or y, so N(u) = {v, x, y} and N(v) = {u, x, y}; then the edge st that
+passes ({}, {ux, vy}) avoids u, v, x and y and forms an induced 2K2 with
+uv.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, islice
-from math import comb
+from itertools import combinations
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .canon import canonical_search, orbit_leaders
@@ -81,31 +95,22 @@ def _ec_split_search(
     adjacency: Sequence[int], count: int, level: int, orbit_reps: Callable[[], Sequence[int]] | None = None
 ) -> tuple[int, ...] | None:
     """First failing split packed as ``(*subset, a)`` in the certificate
-    order, or None if the property holds.
-
-    The (level-1)-prefixes are checked in lexicographic order, those led by
-    item 0 first.  ``orbit_reps``, when given, is called only once they have
-    all passed, and returns the least item of each orbit of a group of item
-    permutations that preserve the adjacency.  When some item is not a
-    representative, only the prefixes led by the other representatives are
-    checked from then on, which keeps the first failing split (see the
-    module docstring).
-    """
-    prefixes: Iterable[tuple[int, ...]] = combinations(range(count - 1), level - 1)
+    order, or None if the property holds.  ``orbit_reps``, when given,
+    returns the least item of each orbit, ascending, of a group of item
+    permutations that preserve the adjacency (see the module docstring)."""
     if orbit_reps is None or not 2 <= level < count:
-        return _first_failure(adjacency, count, prefixes)
-    failure = _first_failure(adjacency, count, islice(prefixes, comb(count - 2, level - 2)))
-    if failure is not None:
-        return failure
-    if len(leaders := orbit_reps()) < count:
-        prefixes = _led_prefixes(leaders[1:], count, level)
+        prefixes: Iterable[tuple[int, ...]] = combinations(range(count - 1), level - 1)
+    else:
+        prefixes = _led_prefixes(count, level, orbit_reps)
     return _first_failure(adjacency, count, prefixes)
 
 
-def _led_prefixes(leaders: Sequence[int], count: int, level: int) -> Iterator[tuple[int, ...]]:
-    """The (level-1)-prefixes whose first item is one of ``leaders``
-    (ascending), in lexicographic order."""
-    for r in leaders:
+def _led_prefixes(count: int, level: int, orbit_reps: Callable[[], Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """The (level-1)-prefixes led by item 0, then, once those are used up and
+    ``orbit_reps`` is called, those led by each other representative."""
+    for rest in combinations(range(1, count - 1), level - 2):
+        yield (0, *rest)
+    for r in orbit_reps()[1:]:
         if r > count - level:  # no level-subset has a larger least item
             return
         for rest in combinations(range(r + 1, count - 1), level - 2):

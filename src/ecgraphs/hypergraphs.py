@@ -13,7 +13,10 @@ classes generate a group of automorphisms, all permutations within each
 class; two edges lie in one of its orbits exactly when their vertices carry
 the same multiset of class labels.  For crossing hypergraphs, whose group
 S_x x S_y leaves k - 1 edge orbits, the level-2 search checks k - 1 of its m
-prefixes.
+prefixes.  An n-line e.c. hypergraph has no edge e inside the union of n - 1
+others f1..f(n-1), since ({e}, {f1..f(n-1)}) needs an edge that meets e and
+misses every fi: it is an (n - 1)-cover-free family (Erdos, Frankl and
+Furedi, Israel J. Math. 51, 1985).
 """
 
 from __future__ import annotations
@@ -144,14 +147,12 @@ def is_n_line_ec_hyper(h: Hypergraph, n: int) -> EcVerdict:
         raise HypergraphError(f"level must be 1..{m} for this hypergraph, got {n}" if m
                               else "this hypergraph has no edges, so no line level applies")
     items = [tuple(bits(e)) for e in h.edges]
-    failure = _ec_split_search(
-        line_adjacency(items, h.n), m, n, lambda: twin_orbit_reps(_hypergraph_twin_classes(h), items)
-    )
-    return _verdict(n, failure, items)
+    return _verdict(n, _ec_split_search(line_adjacency(items, h.n), m, n, lambda: _twin_reps(h, items)), items)
 
 
-def _hypergraph_twin_classes(h: Hypergraph) -> list[int]:
-    """Twin class label of each vertex, labels in order of first vertex.
+def _twin_reps(h: Hypergraph, items: Sequence[Sequence[int]]) -> list[int]:
+    """The least item of every orbit of the group the twin classes generate,
+    ascending; items are vertex tuples.
 
     u and v are twins when swapping them maps every edge that holds just one
     of them to an edge.  Being twins is an equivalence, so each vertex is
@@ -168,19 +169,12 @@ def _hypergraph_twin_classes(h: Hypergraph) -> list[int]:
         else:
             labels.append(len(firsts))
             firsts.append(v)
-    return labels
-
-
-def twin_orbit_reps(labels: Sequence[int], items: Sequence[Sequence[int]]) -> list[int]:
-    """The least item of every orbit of the group the twin classes generate,
-    ascending; ``labels`` gives each vertex its class and items are vertex
-    tuples."""
-    if len(set(labels)) == len(labels):  # no twins: every item is its own orbit
+    if len(firsts) == h.n:  # no twins: every item is its own orbit
         return list(range(len(items)))
-    firsts: dict[tuple[int, ...], int] = {}
+    leaders: dict[tuple[int, ...], int] = {}
     for i, item in enumerate(items):
-        firsts.setdefault(tuple(sorted(map(labels.__getitem__, item))), i)
-    return list(firsts.values())
+        leaders.setdefault(tuple(sorted(map(labels.__getitem__, item))), i)
+    return list(leaders.values())
 
 
 def crossing_hypergraph(x: int, y: int, k: int) -> Hypergraph:

@@ -8,7 +8,6 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
-from types import GeneratorType
 
 import pytest
 
@@ -336,19 +335,25 @@ def brute_neighborhoods(g: Graph, forced: int, lo: int, hi: int, forced_at: tupl
 @pytest.fixture
 def reduced_outcomes(monkeypatch) -> Counter:
     """Counts by outcome (True: no failing split) of the split searches that
-    switched to the prefixes led by orbit representatives (a generator; the
-    ordered prefixes come from itertools), so a test can show that its
-    inputs drive the reduced search both ways.  The keys ``(source,
-    outcome)`` count them again by the source of the representatives: the
-    automorphism group (graphs) or the twins (hypergraphs), whichever was
-    computed last."""
+    called their ``orbit_reps`` (their 0-led prefixes all passed) and got
+    fewer representatives than items, so went on to the prefixes led by the
+    other representatives only; a test can show that its inputs drive the
+    reduced search both ways.  The keys ``(source, outcome)`` count them
+    again by the source of the representatives: the automorphism group
+    (graphs) or the twins (hypergraphs), whichever was computed last."""
     seen: Counter = Counter()
     source = [None]
-    real = ec._first_failure
+    real = ec._ec_split_search
 
-    def counted(adjacency, count, prefixes):
-        out = real(adjacency, count, prefixes)
-        if isinstance(prefixes, GeneratorType):
+    def counted(adjacency, count, level, orbit_reps=None):
+        reps = []
+
+        def spy():
+            reps.append(orbit_reps())
+            return reps[-1]
+
+        out = real(adjacency, count, level, orbit_reps and spy)
+        if reps and len(reps[0]) < count:
             seen[out is None] += 1
             seen[source[0], out is None] += 1
         return out
@@ -359,9 +364,10 @@ def reduced_outcomes(monkeypatch) -> Counter:
             return real_source(*args)
         return spy
 
-    monkeypatch.setattr(ec, "_first_failure", counted)
+    monkeypatch.setattr(ec, "_ec_split_search", counted)
+    monkeypatch.setattr(hypergraphs, "_ec_split_search", counted)
     monkeypatch.setattr(ec, "canonical_search", tagged("automorphism", ec.canonical_search))
-    monkeypatch.setattr(hypergraphs, "twin_orbit_reps", tagged("twins", hypergraphs.twin_orbit_reps))
+    monkeypatch.setattr(hypergraphs, "_twin_reps", tagged("twins", hypergraphs._twin_reps))
     return seen
 
 

@@ -332,6 +332,21 @@ def test_criterion_09_hypergraph_suite():
             for x in range(y, 2 * k + 2):
                 assert is_n_line_ec_hyper(crossing_hypergraph(x, y, k), 2).holds
                 sweep += 1
+    # the failing side: below |Y| = 2k - 1 two edges touch every edge
+    failing = 0
+    for k in (2, 3, 4):
+        for y in range(1, 2 * k - 1):
+            for x in range(max(y, k - y), 2 * k + 2):
+                h = crossing_hypergraph(x, y, k)
+                if len(h.edges) < 2:
+                    assert (x, y, k) in ((1, 1, 2), (2, 1, 3), (3, 1, 4), (2, 2, 4))
+                    continue
+                v = is_n_line_ec_hyper(h, 2)
+                assert not v.holds and v.certificate_a == () and len(v.certificate_b) == 2, (x, y, k)
+                cover = {u for e in v.certificate_b for u in e}
+                assert all(any(e >> u & 1 for u in cover) for e in h.edges), (x, y, k)
+                failing += 1
+    assert failing == 63
     rng = random.Random(RANDOM_SEED)
     cap_checked = 0
     for k in (2, 3, 4):
@@ -354,7 +369,8 @@ def test_criterion_09_hypergraph_suite():
         duality_checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
-    print(f"\nACCEPTANCE 9 PASS: {sweep} crossing hypergraphs 2-line e.c., {cap_checked} "
+    print(f"\nACCEPTANCE 9 PASS: {sweep} crossing hypergraphs 2-line e.c., {failing} with "
+          f"|Y| <= 2k - 2 not, {cap_checked} "
           f"k-uniform samples fail level k+1, {duality_checked} star-dual round trips "
           f"({elapsed:.1f}s)")
 

@@ -333,12 +333,17 @@ def assert_levels_match_unreduced(h: Hypergraph, levels) -> None:
 
 
 def test_hypergraph_twin_classes_match_definition(rng):
+    # the twin orbit leaders are the first items with each multiset of twin
+    # class labels, the classes taken by definition
     for _ in range(150):
         h = young_orbit_hypergraph(rng, rng.randrange(2, 5))
-        expected = brute_twin_classes(
+        labels = brute_twin_classes(
             h.n, lambda p: sorted(sum(1 << p[v] for v in bits(e)) for e in h.edges) == list(h.edges)
         )
-        assert hypergraphs._hypergraph_twin_classes(h) == expected, h
+        items = [tuple(bits(e)) for e in h.edges]
+        keys = [sorted(labels[v] for v in item) for item in items]
+        expected = [i for i, key in enumerate(keys) if key not in keys[:i]]
+        assert hypergraphs._twin_reps(h, items) == expected, h
 
 
 def test_twin_reduction_matches_unreduced_search_on_hypergraphs(rng, reduced_outcomes):
@@ -387,13 +392,48 @@ def test_hypergraph_twins_are_not_sought_when_the_first_prefix_fails(monkeypatch
     def refuse(*args):
         raise AssertionError("twins sought")
 
-    monkeypatch.setattr(hypergraphs, "_hypergraph_twin_classes", refuse)
+    monkeypatch.setattr(hypergraphs, "_twin_reps", refuse)
     # each fails at the first prefix (level 3 always does on crossings)
     for h, level in ((crossing_hypergraph(7, 7, 4), 3), (crossing_hypergraph(10, 10, 5), 3),
                      (crossing_hypergraph(6, 6, 4), 2), (crossing_hypergraph(2, 2, 2), 2)):
         assert not is_n_line_ec_hyper(h, level).holds
     with pytest.raises(AssertionError, match="twins sought"):
         is_n_line_ec_hyper(crossing_hypergraph(5, 5, 3), 2)
+
+
+def has_covered_edge(h: Hypergraph, n: int) -> bool:
+    """Whether some edge lies inside the union of n - 1 other edges, by
+    brute force over every edge and every (n - 1)-set of the others."""
+    for i, e in enumerate(h.edges):
+        for fs in combinations(h.edges[:i] + h.edges[i + 1:], n - 1):
+            union = 0
+            for f in fs:
+                union |= f
+            if e & ~union == 0:
+                return True
+    return False
+
+
+def test_an_edge_covered_by_n_minus_1_others_fails_level_n(rng):
+    # an n-line e.c. hypergraph is (n - 1)-cover-free: the split
+    # ({e}, {f1..f(n-1)}) needs an edge that meets e and misses every fi,
+    # and none does when e lies inside their union.  Uniform samples have no
+    # edge inside another, so random small ones with mixed edge sizes show
+    # level 2.
+    samples = [young_orbit_hypergraph(rng, k) for k in (2, 3, 4) for _ in range(40)]
+    samples += [crossing_hypergraph(x, y, k) for k in (2, 3, 4) for y in range(1, 2 * k + 2)
+                for x in range(max(y, k - y), 2 * k + 2) if comb(x + y, k) <= 200]
+    for _ in range(60):
+        n = rng.randrange(3, 8)
+        edges = {frozenset(rng.sample(range(n), rng.randrange(1, n + 1))) for _ in range(rng.randrange(2, 9))}
+        samples.append(Hypergraph.from_vertex_sets(n, [sorted(e) for e in edges]))
+    covered = {2: 0, 3: 0, 4: 0}
+    for h in samples:
+        for n in covered:
+            if n <= len(h.edges) and has_covered_edge(h, n):
+                assert not is_n_line_ec_hyper(h, n).holds, (h, n)
+                covered[n] += 1
+    assert min(covered.values()) >= 50, covered  # 52, 216 and 203
 
 
 def test_input_refusals():
