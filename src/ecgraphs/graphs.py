@@ -31,30 +31,36 @@ def bits(mask: int) -> Iterator[int]:
 class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbour set of v as a bitmask.
 
-    Rows are validated to be symmetric, loop-free and within range, so every
-    constructed Graph is a simple graph by representation; ``_trusted``
-    skips the check for rows that are valid by construction.  Instances are
-    immutable and safe to share between threads or processes.
+    Rows are validated to be ints, loop-free and within range, and then
+    symmetric by one bit-matrix transpose (``relabel_rows`` in the identity
+    order), so every constructed Graph is a simple graph by representation;
+    ``_trusted`` skips the check for rows that are valid by construction.
+    The rows are stored as a tuple, so instances are immutable, hashable and
+    safe to share between threads or processes.
     """
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise GraphError(f"vertex count must be 1..{MAX_VERTICES}, got {self.n}")
-        if len(self.adj) != self.n:
+        n, adj = self.n, tuple(self.adj)
+        object.__setattr__(self, "adj", adj)
+        if not 1 <= n <= MAX_VERTICES:
+            raise GraphError(f"vertex count must be 1..{MAX_VERTICES}, got {n}")
+        if len(adj) != n:
             raise GraphError("adjacency row count does not match vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
+            if not isinstance(row, int):
+                raise GraphError(f"adjacency row {v} is not an int bitmask: {row!r}")
             if row & ~full:
-                raise GraphError(f"adjacency row {v} references vertices >= {self.n}")
+                raise GraphError(f"adjacency row {v} references vertices >= {n}")
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
-        for v, row in enumerate(self.adj):
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise GraphError(f"asymmetric adjacency between {v} and {u}")
+        cols = relabel_rows(adj, range(n))  # cols[v] = {u : v in adj[u]}
+        if cols != adj:
+            v, extra = next((v, row & ~col) for v, (row, col) in enumerate(zip(adj, cols)) if row & ~col)
+            raise GraphError(f"asymmetric adjacency between {v} and {(extra & -extra).bit_length() - 1}")
 
     @classmethod
     def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -158,7 +164,8 @@ def relabel_rows(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
 
     The rows in label order are the rows of one bit matrix packed into one
     int; transposing it relabels the columns, and since the rows are
-    symmetric, transposed row order[i] is new row i."""
+    symmetric, transposed row order[i] is new row i.  In the identity order
+    it transposes any rows below bit n, which is how ``Graph`` checks symmetry."""
     n = len(order)
     width, code, swaps = _TRANSPOSE[(n > 8) + (n > 16) + (n > 32)]
     packed = array(code, [adj[v] for v in order])

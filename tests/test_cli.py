@@ -120,6 +120,19 @@ def test_paley(capsys):
     assert canonical_form(parse_graph6(out.strip())) == canonical_form(paley(9))
 
 
+# ``ecgraphs paley --q 49`` as the per-edge construction wrote it
+PALEY_49_LINE = (
+    r"p~~~}F`[XrbnB~`~skIf`iMLS[xS\{gN|JB~eSkIXRocybbcibfqDPvkhO^xdJB~eR"
+    r"IUDKeS{HKfS[[eQiM^HcIbnXKhO^xcqd`~shcqd`Shcqf`iCq\PpihKdS[xVHcIbnd"
+    r"KeSgN|IXKhW^}EdKeSkN@QeRI]DpSHcybbMIhKdS[wwjcqDPv`xRHdIB~`hRHdJB~"
+)
+
+
+def test_paley_49_line_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "paley", "--q", "49")
+    assert code == 0 and out == PALEY_49_LINE + "\n"
+
+
 def test_paley_bad_q_exits_two(capsys):
     code, _, err = run_cli(capsys, "paley", "--q", "7")
     assert code == 2 and "error" in err

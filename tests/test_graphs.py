@@ -12,6 +12,7 @@ from ecgraphs.ec import line_graph
 from ecgraphs.graphs import (
     Graph,
     GraphError,
+    bits,
     cartesian_product,
     complement,
     complete_bipartite,
@@ -48,6 +49,47 @@ def test_graph_validation():
         Graph(2, (2, 0))  # asymmetric
     with pytest.raises(GraphError):
         Graph.from_edges(3, [(0, 3)])
+
+
+def test_list_rows_are_stored_as_a_tuple():
+    g = Graph(2, [2, 1])
+    assert g.adj == (2, 1) and g == Graph(2, (2, 1)) and hash(g) == hash(Graph(2, (2, 1)))
+
+
+def test_non_int_row_is_refused():
+    with pytest.raises(GraphError, match="adjacency row 0 is not an int bitmask"):
+        Graph(2, (2.0, 1))
+
+
+def _loop_asymmetry(rows):
+    """The per-edge symmetry check: the message for the first v, then the
+    least u in N(v), with v not in N(u); None when the rows are symmetric."""
+    for v, row in enumerate(rows):
+        for u in bits(row):
+            if not rows[u] >> v & 1:
+                return f"asymmetric adjacency between {v} and {u}"
+    return None
+
+
+def test_symmetry_check_matches_the_per_edge_loop():
+    # every transpose width (8, 16, 32, 64) and the orders at its edges
+    rng = random.Random(2929)
+    outcomes = {True: 0, False: 0}
+    for n in (1, 2, 7, 8, 9, 16, 17, 32, 33, 63, 64):
+        for _ in range(80):
+            rows = list(random_graph(rng, n, rng.random()).adj)
+            for _ in range(rng.choice((0, 1, 1, 2, 3)) if n > 1 else 0):
+                v, u = rng.sample(range(n), 2)
+                rows[v] ^= 1 << u
+            message = _loop_asymmetry(rows)
+            outcomes[message is None] += 1
+            if message is None:
+                assert Graph(n, tuple(rows)).adj == tuple(rows)
+            else:
+                with pytest.raises(GraphError) as refused:
+                    Graph(n, tuple(rows))
+                assert str(refused.value) == message
+    assert min(outcomes.values()) > 200, outcomes
 
 
 def test_trusted_construction_equals_the_validated_graph(rng):
