@@ -8,7 +8,6 @@ from .canon import (
 )
 from .constructions import cone, join, join_independent, paley
 from .ec import EcVerdict, is_n_ec, is_n_line_ec, line_graph, xi, xi_line
-from .fields import FieldError, FiniteField
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import (
     Graph,
@@ -48,8 +47,6 @@ from .search import (
 
 __all__ = [
     "EcVerdict",
-    "FieldError",
-    "FiniteField",
     "Graph",
     "Graph6Error",
     "GraphError",

@@ -27,6 +27,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count must be 1..{MAX_VERTICES}, got {n}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbour set of v as a bitmask.
@@ -45,8 +50,7 @@ class Graph:
     def __post_init__(self) -> None:
         n, adj = self.n, tuple(self.adj)
         object.__setattr__(self, "adj", adj)
-        if not 1 <= n <= MAX_VERTICES:
-            raise GraphError(f"vertex count must be 1..{MAX_VERTICES}, got {n}")
+        _check_vertex_count(n)
         if len(adj) != n:
             raise GraphError("adjacency row count does not match vertex count")
         full = (1 << n) - 1
@@ -76,6 +80,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_vertex_count(n)  # before the rows are allocated
         rows = [0] * n
         for u, v in edges:
             if u == v:

@@ -138,6 +138,11 @@ def test_paley_bad_q_exits_two(capsys):
     assert code == 2 and "error" in err
 
 
+def test_paley_q_not_a_prime_power_exits_two(capsys):
+    code, out, err = run_cli(capsys, "paley", "--q", "12")
+    assert code == 2 and out == "" and "12 is not a prime power" in err
+
+
 def test_hyper_crossing_and_star_dual(capsys, tmp_path, k33_file):
     code, out, _ = run_cli(capsys, "hyper", "crossing", "--x", "3", "--y", "3", "--k", "2")
     assert code == 0 and out.splitlines()[0] == "6 9"

@@ -51,6 +51,13 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 3)])
 
 
+def test_from_edges_refuses_the_vertex_count_before_allocating():
+    # a list of 2^62 rows cannot be built, so this raises MemoryError unless
+    # the count is refused first
+    with pytest.raises(GraphError, match=r"^vertex count must be 1\.\.64, got 4611686018427387904$"):
+        Graph.from_edges(1 << 62, [])
+
+
 def test_list_rows_are_stored_as_a_tuple():
     g = Graph(2, [2, 1])
     assert g.adj == (2, 1) and g == Graph(2, (2, 1)) and hash(g) == hash(Graph(2, (2, 1)))

@@ -1,13 +1,20 @@
 """The package stays pure stdlib: every import in it is relative or from the
-standard library; and every function the perfbench tracer wraps exists."""
+standard library; the README Layout table has one row per module; and every
+function the perfbench tracer wraps exists."""
 
 import ast
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
 import ecgraphs
+
+MODULES = {
+    "__init__", "canon", "catalog", "cli", "constructions", "ec",
+    "graph6", "graphs", "hypergraphs", "planarity", "search",
+}
 
 
 def _absolute_imports(tree: ast.AST):
@@ -21,7 +28,7 @@ def _absolute_imports(tree: ast.AST):
 
 def test_imports_are_relative_or_stdlib():
     sources = sorted(Path(ecgraphs.__file__).parent.glob("*.py"))
-    assert len(sources) >= 12
+    assert {path.stem for path in sources} == MODULES
     bad = [
         f"{path.name}:{lineno}: {name}"
         for path in sources
@@ -29,6 +36,13 @@ def test_imports_are_relative_or_stdlib():
         if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert bad == []
+
+
+def test_readme_layout_has_one_row_per_module():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `ecgraphs\.(\w+)` \|", layout, re.MULTILINE)
+    assert sorted(rows) == sorted(MODULES - {"__init__"})
 
 
 def test_perfbench_traced_names_exist():
