@@ -1,11 +1,6 @@
 """Existential closure of graphs, line graphs and hypergraph line graphs."""
 
-from .canon import (
-    automorphism_generators,
-    automorphism_orbits,
-    canonical_form,
-    is_isomorphic,
-)
+from .canon import canonical_form
 from .constructions import cone, join, join_independent, paley
 from .ec import EcVerdict, is_n_ec, is_n_line_ec, line_graph, xi, xi_line
 from .graph6 import Graph6Error, parse_graph6, write_graph6
@@ -13,13 +8,10 @@ from .graphs import (
     Graph,
     GraphError,
     cartesian_product,
-    complement,
     complete_bipartite,
     complete_graph,
     complete_multipartite,
-    contains_induced,
     cycle_graph,
-    diameter,
     empty_graph,
     is_connected,
     path_graph,
@@ -32,7 +24,6 @@ from .hypergraphs import (
     crossing_hypergraph,
     format_hypergraph,
     is_n_line_ec_hyper,
-    line_graph_of_hypergraph,
     parse_hypergraph,
     star_dual,
 )
@@ -54,26 +45,20 @@ __all__ = [
     "HypergraphError",
     "SearchConstraints",
     "SearchReport",
-    "automorphism_generators",
-    "automorphism_orbits",
     "canonical_form",
     "cartesian_product",
-    "complement",
     "complete_bipartite",
     "complete_graph",
     "complete_multipartite",
     "cone",
-    "contains_induced",
     "cross_join_hypergraphs",
     "crossing_hypergraph",
     "cycle_graph",
-    "diameter",
     "empty_graph",
     "enumerate_connected",
     "filter_stream",
     "format_hypergraph",
     "is_connected",
-    "is_isomorphic",
     "is_n_ec",
     "is_n_line_ec",
     "is_n_line_ec_hyper",
@@ -81,7 +66,6 @@ __all__ = [
     "join",
     "join_independent",
     "line_graph",
-    "line_graph_of_hypergraph",
     "parse_graph6",
     "parse_hypergraph",
     "paley",

@@ -288,17 +288,6 @@ def degree_triangle_invariant(g: Graph) -> tuple:
     return g.n, tuple(triples)
 
 
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    return canonical_form(g) == canonical_form(h)
-
-
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    _, gens = canonical_search(g.n, g.adj)
-    return gens
-
-
 def orbit_closure(mask: int, gens: Sequence[Sequence[int]]) -> int:
     """Union of the orbits of the vertices in ``mask`` under the group
     generated by ``gens``: every generator is applied to the newly added
@@ -325,10 +314,6 @@ def orbit_partition(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
                 ids[u] = k
             k += 1
     return ids
-
-
-def automorphism_orbits(g: Graph) -> list[int]:
-    return orbit_partition(g.n, automorphism_generators(g))
 
 
 def orbit_leaders(items: Sequence[int], gens: Sequence[Sequence[int]]) -> list[int]:

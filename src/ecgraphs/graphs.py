@@ -6,7 +6,6 @@ and set algebra on vertex sets is plain integer arithmetic.
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -91,17 +90,11 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
@@ -121,23 +114,6 @@ class Graph:
         for v, label in enumerate(perm):
             order[label] = v
         return Graph._trusted(self.n, relabel_rows(self.adj, order))
-
-    def induced(self, vertices: Sequence[int]) -> "Graph":
-        """Subgraph induced by ``vertices``, relabelled 0.. in the given order."""
-        k = len(vertices)
-        pos = {v: i for i, v in enumerate(vertices)}
-        if len(pos) != k:
-            raise GraphError("duplicate vertices in induced subgraph request")
-        bad = next((v for v in vertices if not 0 <= v < self.n), None)
-        if bad is not None:
-            raise GraphError(f"vertex {bad} out of range for n={self.n}")
-        rows = [0] * k
-        for i, v in enumerate(vertices):
-            for u in bits(self.adj[v]):
-                j = pos.get(u)
-                if j is not None:
-                    rows[i] |= 1 << j
-        return Graph(k, tuple(rows))
 
 
 def _swap_masks(width: int) -> list[tuple[int, int]]:
@@ -264,11 +240,6 @@ def standard_family(name: str, params: Sequence[int]) -> Graph:
 # operations
 
 
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj)))
-
-
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product; vertex (u, v) gets index u * h.n + v."""
     n = g.n * h.n
@@ -303,30 +274,6 @@ def is_connected(g: Graph) -> bool:
     return _reach(g.adj, 0, (1 << g.n) - 1) == (1 << g.n) - 1
 
 
-def diameter(g: Graph) -> int | float:
-    """Maximum BFS distance over vertex pairs; ``math.inf`` when disconnected."""
-    full = (1 << g.n) - 1
-    best = 0
-    for s in range(g.n):
-        seen = 1 << s
-        frontier = seen
-        dist = 0
-        while True:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            nxt &= ~seen
-            if not nxt:
-                break
-            dist += 1
-            seen |= nxt
-            frontier = nxt
-        if seen != full:
-            return math.inf
-        best = max(best, dist)
-    return best
-
-
 def has_induced_2k2(adj: Sequence[int]) -> bool:
     """True iff the graph with adjacency rows ``adj`` has an induced 2K2 (two
     edges with no edge between them).
@@ -352,37 +299,3 @@ def has_induced_2k2(adj: Sequence[int]) -> bool:
                 left ^= w
     return False
 
-
-def contains_induced(g: Graph, h: Graph) -> bool:
-    """True iff some vertex subset of g induces a graph isomorphic to h.
-
-    Backtracking over injective maps with bitmask candidate filtering; meant
-    for small patterns (|V(h)| <= 8).
-    """
-    if h.n > g.n:
-        return False
-    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
-    full = (1 << g.n) - 1
-    mapping = [0] * h.n
-
-    def place(i: int, used: int) -> bool:
-        if i == h.n:
-            return True
-        hv = order[i]
-        cand = full & ~used
-        for j in range(i):
-            hu = order[j]
-            gu = mapping[hu]
-            if h.adj[hv] >> hu & 1:
-                cand &= g.adj[gu]
-            else:
-                cand &= ~g.adj[gu]
-            if not cand:
-                return False
-        for gv in bits(cand):
-            mapping[hv] = gv
-            if place(i + 1, used | 1 << gv):
-                return True
-        return False
-
-    return place(0, 0)

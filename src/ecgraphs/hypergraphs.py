@@ -1,9 +1,10 @@
-"""Hypergraphs with bitmask edges, their line graphs, and edge-level closure checks.
+"""Hypergraphs with bitmask edges, and closure checks of their line graphs.
 
 Edges are vertex subsets stored as bitmasks and kept sorted by integer value,
-which fixes the edge indexing used everywhere (checks, line graphs, the text
-format).  Closure checking works directly on edge intersections, so the number
-of edges is not limited by the 64-vertex cap of the Graph type.
+which fixes the edge indexing used everywhere (checks, certificates, the text
+format).  Closure checking works directly on edge intersections, so the line
+graph is never built and the number of edges is not limited by the 64-vertex
+cap of the Graph type.
 
 The closure check reduces by the group that twin vertices generate (see
 ``ec`` for why any group keeps the verdict and the certificate).  Two
@@ -40,6 +41,11 @@ class HypergraphError(ValueError):
     """Invalid hypergraph construction."""
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise HypergraphError(f"vertex count must be 1..{MAX_VERTICES}, got {n}")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Vertices 0..n-1 and a sorted tuple of distinct nonempty edge bitmasks."""
@@ -48,8 +54,7 @@ class Hypergraph:
     edges: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise HypergraphError(f"vertex count must be 1..{MAX_VERTICES}, got {self.n}")
+        _check_vertex_count(self.n)
         full = (1 << self.n) - 1
         prev = 0
         for e in self.edges:
@@ -65,6 +70,7 @@ class Hypergraph:
 
     @classmethod
     def from_vertex_sets(cls, n: int, edge_sets: Iterable[Iterable[int]]) -> "Hypergraph":
+        _check_vertex_count(n)  # before any mask is built
         masks = []
         for es in edge_sets:
             mask = 0
@@ -108,7 +114,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
         n, m = _numbers(head, "header")
         if len(body) != m:
             raise HypergraphError(f"expected {m} edge lines, got {len(body)}")
-        Hypergraph(n, ())  # refuses a bad n on the header's line
+        _check_vertex_count(n)  # on the header's line
         edges: set[int] = set()
         for lineno, line in body:
             (mask,) = Hypergraph.from_vertex_sets(n, [_numbers(line, "edge line")]).edges
@@ -128,16 +134,6 @@ def _numbers(line: str, what: str) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def line_graph_of_hypergraph(h: Hypergraph) -> Graph:
-    """Graph with one vertex per edge; adjacency iff the edges intersect."""
-    m = len(h.edges)
-    if m == 0:
-        raise HypergraphError("line graph of an edgeless hypergraph is empty")
-    if m > MAX_VERTICES:
-        raise HypergraphError(f"line graph would have {m} > {MAX_VERTICES} vertices")
-    return Graph(m, tuple(line_adjacency([tuple(bits(e)) for e in h.edges], h.n)))
 
 
 def is_n_line_ec_hyper(h: Hypergraph, n: int) -> EcVerdict:

@@ -58,6 +58,80 @@ def all_labeled_graphs(n: int):
         yield Graph(n, tuple(rows))
 
 
+# The five planar 2-line e.c. graphs of acceptance criterion 1 (atlas
+# numbering, order 7), entered from their published planar drawings with
+# vertices 0..6; Tc43 is the heptahedral graph 34 and Tc44 the
+# pentagonal-bipyramid (Johnson solid 13) skeleton.  Every comparison goes
+# through canonical forms, so the labelling choice is immaterial.
+PLANAR_TWO_LINE_EC = {
+    name: Graph.from_edges(7, edges)
+    for name, edges in {
+        "Tc20": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 6), (2, 5), (2, 6), (3, 4), (3, 5), (4, 6), (5, 6)],
+        "Tc30": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 6), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5), (4, 6),
+                 (5, 6)],
+        "Tc39": [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (1, 6), (2, 5), (2, 6), (3, 4), (3, 5),
+                 (4, 6), (5, 6)],
+        "Tc43": [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (1, 6), (2, 5), (2, 6), (3, 4), (3, 5),
+                 (4, 5), (4, 6), (5, 6)],
+        "Tc44": [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (1, 6), (2, 5), (2, 6), (3, 4), (3, 5),
+                 (3, 6), (4, 6), (5, 6)],
+    }.items()
+}
+
+
+def induced(g: Graph, vertices) -> Graph:
+    """Subgraph induced by ``vertices``, relabelled 0.. in the given order."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    return Graph(len(pos), tuple(sum(1 << pos[u] for u in bits(g.adj[v]) if u in pos) for v in vertices))
+
+
+def diameter(g: Graph) -> int | float:
+    """Maximum BFS distance over vertex pairs; ``math.inf`` when disconnected."""
+    full = (1 << g.n) - 1
+    best = 0
+    for s in range(g.n):
+        seen = frontier = 1 << s
+        dist = 0
+        while seen != full:
+            reach = 0
+            for v in bits(frontier):
+                reach |= g.adj[v]
+            frontier = reach & ~seen
+            if not frontier:
+                return math.inf
+            seen |= frontier
+            dist += 1
+        best = max(best, dist)
+    return best
+
+
+def contains_induced(g: Graph, h: Graph) -> bool:
+    """True iff some vertex subset of g induces a graph isomorphic to h:
+    backtracking over injective maps, the vertices of h by descending degree,
+    each one's candidates the vertices of g that match its adjacency to the
+    ones placed so far."""
+    if h.n > g.n:
+        return False
+    order = sorted(range(h.n), key=lambda v: (-h.adj[v].bit_count(), v))
+    full = (1 << g.n) - 1
+    mapping = [0] * h.n
+
+    def place(i: int, used: int) -> bool:
+        if i == h.n:
+            return True
+        hv = order[i]
+        cand = full & ~used
+        for hu in order[:i]:
+            cand &= g.adj[mapping[hu]] if h.adj[hv] >> hu & 1 else ~g.adj[mapping[hu]]
+        for gv in bits(cand):
+            mapping[hv] = gv
+            if place(i + 1, used | 1 << gv):
+                return True
+        return False
+
+    return place(0, 0)
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     """Isomorphism by exhaustive permutation search (degree-pruned)."""
     if g.n != h.n or sorted(g.degrees()) != sorted(h.degrees()):
@@ -303,7 +377,7 @@ def brute_accepts(g: Graph, connected: bool) -> bool:
     when that vertex and n-1 share an automorphism orbit."""
     n = g.n
     eligible = {v for v in range(n)
-                if not connected or is_connected(g.induced([u for u in range(n) if u != v]))}
+                if not connected or is_connected(induced(g, [u for u in range(n) if u != v]))}
     cells = refine_partition(n, g.adj, [(1 << n) - 1])
     cell = next(c for c in cells if any(c >> v & 1 for v in eligible))
     order, gens = canonical_search(n, g.adj)

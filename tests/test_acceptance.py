@@ -12,7 +12,6 @@ from functools import lru_cache
 from itertools import combinations
 
 from ecgraphs.canon import canonical_form
-from ecgraphs.catalog import planar_two_line_ec_graphs
 from ecgraphs.constructions import cone, join, join_independent, paley
 from ecgraphs.ec import is_n_ec, is_n_line_ec, line_adjacency, line_graph, xi, xi_line
 from ecgraphs.graph6 import parse_graph6
@@ -20,13 +19,10 @@ from ecgraphs.graphs import (
     Graph,
     bits,
     is_connected,
-    complement,
     complete_bipartite,
     complete_graph,
     complete_multipartite,
-    contains_induced,
     cycle_graph,
-    diameter,
     empty_graph,
     path_graph,
 )
@@ -34,12 +30,11 @@ from ecgraphs.hypergraphs import (
     Hypergraph,
     crossing_hypergraph,
     is_n_line_ec_hyper,
-    line_graph_of_hypergraph,
     star_dual,
 )
 from ecgraphs.search import SearchConstraints, enumerate_connected, run_named_search
 
-from conftest import random_connected_graph
+from conftest import PLANAR_TWO_LINE_EC, contains_induced, diameter, induced, random_connected_graph
 
 RANDOM_SEED = 20260810
 
@@ -184,7 +179,7 @@ def line_graph_has_induced_2k2(g: Graph) -> bool:
 def test_criterion_01_planar_classification():
     rep = planar_search_report()
     assert len(rep.survivors) == 5
-    expected = sorted(canonical_form(g) for g in planar_two_line_ec_graphs())
+    expected = sorted(canonical_form(g) for g in PLANAR_TWO_LINE_EC.values())
     assert rep.survivors == expected
     orders = sorted(parse_graph6(s).n for s in rep.survivors)
     assert orders == [7] * 5
@@ -260,14 +255,15 @@ def test_criterion_06_theorem_one_oracle_suite():
     order3 = [empty_graph(3), Graph.from_edges(3, [(0, 1)]), path_graph(3), complete_graph(3)]
     for g in graphs:
         assert is_n_ec(g, 2).holds
-        assert is_n_ec(complement(g), 2).holds
         full = (1 << g.n) - 1
+        complement = Graph(g.n, tuple(row ^ k for row, k in zip(g.adj, complete_graph(g.n).adj)))
+        assert is_n_ec(complement, 2).holds
         for x in range(g.n):
             rest = [v for v in range(g.n) if v != x]
-            assert is_n_ec(g.induced(rest), 1).holds
-            assert is_n_ec(g.induced(list(bits(g.adj[x]))), 1).holds
+            assert is_n_ec(induced(g, rest), 1).holds
+            assert is_n_ec(induced(g, list(bits(g.adj[x]))), 1).holds
             non = list(bits(full & ~g.adj[x] & ~(1 << x)))
-            assert is_n_ec(g.induced(non), 1).holds
+            assert is_n_ec(induced(g, non), 1).holds
         for h in order3:
             assert contains_induced(g, h)
     print("\nACCEPTANCE 6 PASS: complement/local-closure/embedding properties hold on the "
@@ -304,7 +300,7 @@ def test_criterion_08_necessary_conditions():
             # the only disconnected 2-line e.c. graphs are a connected core
             # plus isolated vertices (edges in two components would lack a
             # common neighbour); the degree/diameter conditions apply there
-            core = g.induced([v for v in range(g.n) if g.degree(v) > 0])
+            core = induced(g, [v for v in range(g.n) if g.adj[v]])
             assert is_connected(core)
             padded += 1
             g = core
@@ -364,7 +360,8 @@ def test_criterion_09_hypergraph_suite():
         g = random_connected_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
         if g.edge_count() < 2:
             continue
-        back = line_graph_of_hypergraph(star_dual(g))
+        h = star_dual(g)
+        back = Graph(len(h.edges), tuple(line_adjacency([tuple(bits(e)) for e in h.edges], h.n)))
         assert canonical_form(back) == canonical_form(g)
         duality_checked += 1
     elapsed = time.perf_counter() - t0

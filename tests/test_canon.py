@@ -6,15 +6,12 @@ import time
 
 from ecgraphs import canon
 from ecgraphs.canon import (
-    automorphism_generators,
-    automorphism_orbits,
     canonical_form,
     canonical_search,
-    is_isomorphic,
     orbit_closure,
+    orbit_partition,
     refine_partition,
 )
-from ecgraphs.catalog import named_graph
 from ecgraphs.constructions import paley
 from ecgraphs.ec import line_graph
 from ecgraphs.graph6 import parse_graph6, write_graph6
@@ -32,6 +29,7 @@ from ecgraphs.graphs import (
 from ecgraphs.search import SearchConstraints, enumerate_connected
 
 from conftest import (
+    PLANAR_TWO_LINE_EC,
     all_labeled_graphs,
     brute_automorphism_count,
     brute_isomorphic,
@@ -81,7 +79,7 @@ def test_soundness_by_dedup_counts():
 
 
 def test_catalog_relabelings():
-    tc20 = named_graph("Tc20")
+    tc20 = PLANAR_TWO_LINE_EC["Tc20"]
     rng = random.Random(99)
     for _ in range(10):
         assert canonical_form(tc20.permuted(random_permutation(rng, 7))) == canonical_form(tc20)
@@ -92,29 +90,33 @@ def test_is_isomorphic_agrees_with_brute(rng):
         n = rng.randrange(1, 7)
         g = random_graph(rng, n, 0.5)
         h = random_graph(rng, n, 0.5)
-        assert is_isomorphic(g, h) == brute_isomorphic(g, h)
+        assert (canonical_form(g) == canonical_form(h)) == brute_isomorphic(g, h)
         relabeled = g.permuted(random_permutation(rng, n))
-        assert is_isomorphic(g, relabeled)
+        assert canonical_form(g) == canonical_form(relabeled)
+
+
+def _orbits(g: Graph) -> list[int]:
+    return orbit_partition(g.n, canonical_search(g.n, g.adj)[1])
 
 
 def test_generators_are_automorphisms(rng):
     for _ in range(80):
         g = random_graph(rng, rng.randrange(2, 9), rng.choice([0.3, 0.5, 0.7]))
-        for sigma in automorphism_generators(g):
+        for sigma in canonical_search(g.n, g.adj)[1]:
             assert g.permuted(list(sigma)).adj == g.adj
 
 
 def test_orbits_exhaustive_small():
     for n in range(1, 5):
         for g in all_labeled_graphs(n):
-            assert automorphism_orbits(g) == brute_orbit_partition(g)
+            assert _orbits(g) == brute_orbit_partition(g)
 
 
 def test_orbits_sampled(rng):
     for n in (5, 6):
         for _ in range(150):
             g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
-            assert automorphism_orbits(g) == brute_orbit_partition(g)
+            assert _orbits(g) == brute_orbit_partition(g)
 
 
 def test_orbits_on_transitive_graphs():
@@ -127,13 +129,13 @@ def test_orbits_on_transitive_graphs():
         _hypercube(3),
     )
     for g in transitive:
-        assert len(set(automorphism_orbits(g))) == 1
+        assert len(set(_orbits(g))) == 1
 
 
 def test_orbit_counts_on_structured_graphs():
-    assert len(set(automorphism_orbits(complete_bipartite(1, 5)))) == 2
-    assert len(set(automorphism_orbits(complete_bipartite(2, 3)))) == 2
-    assert len(set(automorphism_orbits(path_graph(5)))) == 3
+    assert len(set(_orbits(complete_bipartite(1, 5)))) == 2
+    assert len(set(_orbits(complete_bipartite(2, 3)))) == 2
+    assert len(set(_orbits(path_graph(5)))) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +195,13 @@ def test_symmetric_families_fast_and_invariant():
         form = canonical_form(g)
         assert time.perf_counter() - start < 1.0, name
         assert canonical_form(g.permuted(random_permutation(rng, g.n))) == form, name
-        assert len(set(automorphism_orbits(g))) == 1, name  # all vertex-transitive
+        assert len(set(_orbits(g))) == 1, name  # all vertex-transitive
 
 
 def test_orbit_counts_on_symmetric_non_transitive_graphs():
-    assert len(set(automorphism_orbits(complete_bipartite(8, 24)))) == 2
-    assert len(set(automorphism_orbits(complete_multipartite([4, 4, 8, 8, 8])))) == 2
-    assert len(set(automorphism_orbits(complete_multipartite([1, 2, 3, 4, 5, 6])))) == 6
+    assert len(set(_orbits(complete_bipartite(8, 24)))) == 2
+    assert len(set(_orbits(complete_multipartite([4, 4, 8, 8, 8])))) == 2
+    assert len(set(_orbits(complete_multipartite([1, 2, 3, 4, 5, 6])))) == 6
 
 
 def test_generators_generate_symmetric_groups():
@@ -207,7 +209,7 @@ def test_generators_generate_symmetric_groups():
         if order > 10**14:
             continue  # K16,16 and up: too slow for the oracle; forms and orbits are checked above
         g = make()
-        gens = automorphism_generators(g)
+        gens = canonical_search(g.n, g.adj)[1]
         assert all(g.permuted(list(sigma)).adj == g.adj for sigma in gens), name
         assert group_order(g.n, gens) == order, name
 
@@ -220,7 +222,7 @@ def test_generators_generate_groups_of_cycle_unions():
     for lengths in ([5, 6, 5], [4, 5, 4, 5], [4, 6, 4, 6], [3, 4, 3, 4, 3], [4, 5, 6, 4, 5, 6], [6, 3, 6, 3, 3]):
         g = _cycle_union(lengths)
         order = math.prod(math.factorial(lengths.count(k)) * (2 * k) ** lengths.count(k) for k in set(lengths))
-        assert group_order(g.n, automorphism_generators(g)) == order, lengths
+        assert group_order(g.n, canonical_search(g.n, g.adj)[1]) == order, lengths
         assert canonical_form(g.permuted(random_permutation(rng, g.n))) == canonical_form(g), lengths
 
 
@@ -230,7 +232,7 @@ def test_generators_generate_full_group():
     rng = random.Random(0xA07)
     graphs += [random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])) for n in (6, 7) for _ in range(60)]
     for g in graphs:
-        gens = automorphism_generators(g)
+        gens = canonical_search(g.n, g.adj)[1]
         assert all(g.permuted(list(sigma)).adj == g.adj for sigma in gens)
         assert group_order(g.n, gens) == brute_automorphism_count(g)
 

@@ -6,7 +6,6 @@ import tracemalloc
 import pytest
 
 from ecgraphs.canon import canonical_form
-from ecgraphs.catalog import planar_two_line_ec_graphs
 from ecgraphs.cli import build_parser, main
 from ecgraphs.constructions import paley
 from ecgraphs.graph6 import parse_graph6, write_graph6
@@ -21,6 +20,8 @@ from ecgraphs.graphs import (
 )
 from ecgraphs.hypergraphs import crossing_hypergraph, format_hypergraph
 from ecgraphs.search import PREDICATES
+
+from conftest import PLANAR_TWO_LINE_EC
 
 K33_LINE = write_graph6(complete_bipartite(3, 3))
 
@@ -231,7 +232,7 @@ def test_search_workers_is_a_no_op(capsys):
         del payload["wall_ms"]
         payloads.append(payload)
     assert payloads[0] == payloads[1]
-    assert payloads[0]["survivors"] == sorted(canonical_form(g) for g in planar_two_line_ec_graphs())
+    assert payloads[0]["survivors"] == sorted(canonical_form(g) for g in PLANAR_TWO_LINE_EC.values())
     with pytest.raises(SystemExit):
         main(["search", "--help"])
     assert "does nothing" in capsys.readouterr().out

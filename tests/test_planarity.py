@@ -12,21 +12,19 @@ the same constraints, a parity union-find over two nodes per back edge.
 import math
 from itertools import combinations
 
-from ecgraphs.catalog import PLANAR_TWO_LINE_EC_NAMES, named_graph
 from ecgraphs.graphs import (
     Graph,
     bits,
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    diameter,
     is_connected,
     path_graph,
 )
 from ecgraphs.planarity import is_planar
 from ecgraphs.search import enumerate_connected
 
-from conftest import random_connected_graph, random_permutation
+from conftest import PLANAR_TWO_LINE_EC, diameter, induced, random_connected_graph, random_permutation
 
 
 def _pack_paths(g: Graph, pairs, branch: set[int]) -> bool:
@@ -60,7 +58,7 @@ def _pack_paths(g: Graph, pairs, branch: set[int]) -> bool:
 
 
 def _has_k5_subdivision(g: Graph) -> bool:
-    cand = [v for v in range(g.n) if g.degree(v) >= 4]
+    cand = [v for v in range(g.n) if g.adj[v].bit_count() >= 4]
     for branch in combinations(cand, 5):
         pairs = list(combinations(branch, 2))
         if _pack_paths(g, pairs, set(branch)):
@@ -69,7 +67,7 @@ def _has_k5_subdivision(g: Graph) -> bool:
 
 
 def _has_k33_subdivision(g: Graph) -> bool:
-    cand = [v for v in range(g.n) if g.degree(v) >= 3]
+    cand = [v for v in range(g.n) if g.adj[v].bit_count() >= 3]
     for six in combinations(cand, 6):
         rest = set(six)
         for left in combinations(six, 3):
@@ -98,8 +96,8 @@ def test_kuratowski_pair():
 
 
 def test_figures_are_planar():
-    for name in PLANAR_TWO_LINE_EC_NAMES:
-        assert is_planar(named_graph(name))
+    for g in PLANAR_TWO_LINE_EC.values():
+        assert is_planar(g)
 
 
 def test_trees_and_cycles(rng):
@@ -124,7 +122,7 @@ def test_euler_consistency_and_triangulations():
             if is_planar(g):
                 assert g.edge_count() <= 3 * g.n - 6
     for name in ("Tc43", "Tc44"):
-        g = named_graph(name)
+        g = PLANAR_TWO_LINE_EC[name]
         assert is_planar(g) and g.edge_count() == 3 * g.n - 6
 
 
@@ -145,7 +143,7 @@ def test_minor_closure_spot_checks(rng):
         if g.n > 1:
             drop = rng.randrange(g.n)
             keep = [w for w in range(g.n) if w != drop]
-            assert is_planar(g.induced(keep))
+            assert is_planar(induced(g, keep))
 
 
 def test_subdivision_invariance(rng):

@@ -5,7 +5,6 @@ import pytest
 
 from ecgraphs import canon, ec, search
 from ecgraphs.canon import canonical_form, canonical_search, degree_triangle_invariant
-from ecgraphs.catalog import planar_two_line_ec_graphs
 from ecgraphs.ec import is_n_ec, is_n_line_ec
 from ecgraphs.graph6 import Graph6Error, numbered_lines, parse_graph6, write_graph6
 from ecgraphs.graphs import (
@@ -27,9 +26,11 @@ from ecgraphs.search import (
 )
 
 from conftest import (
+    PLANAR_TWO_LINE_EC,
     all_labeled_graphs,
     brute_accepts,
     brute_neighborhoods,
+    diameter,
     random_connected_graph,
     random_graph,
     random_permutation,
@@ -383,11 +384,11 @@ def test_predicate_chain_counts():
 
 
 def test_two_line_ec_predicate_matches_the_decider(monkeypatch):
-    # every graph on <= 7 vertices, connected or not, the five catalog forms,
+    # every graph on <= 7 vertices, connected or not, the five planar forms,
     # K3,3, K6 and F@vf_ (the 11-edge 2-line e.c. graph): the 2K2 rejection
     # never changes the verdict, and the decider runs only on 2K2-free graphs
     graphs = [g for n in range(1, 8) for g in enumerate_connected(n, SearchConstraints(require_connected=False))]
-    graphs += planar_two_line_ec_graphs() + [complete_bipartite(3, 3), complete_graph(6), parse_graph6("F@vf_")]
+    graphs += [*PLANAR_TWO_LINE_EC.values(), complete_bipartite(3, 3), complete_graph(6), parse_graph6("F@vf_")]
     decided = []
     monkeypatch.setattr(search, "is_n_line_ec", lambda g, n: decided.append(g) or is_n_line_ec(g, n))
     verdicts = {}
@@ -420,14 +421,11 @@ def test_nine_edge_search():
 
 def test_planar_search_to_order_seven():
     rep = run_named_search("planar-2lec", 7)
-    expected = sorted(canonical_form(g) for g in planar_two_line_ec_graphs())
+    expected = sorted(canonical_form(g) for g in PLANAR_TWO_LINE_EC.values())
     assert rep.survivors == expected
 
 
 def test_planar_search_survivor_posthoc_invariants():
-    from ecgraphs.graph6 import parse_graph6
-    from ecgraphs.graphs import diameter
-
     for s in run_named_search("planar-2lec", 7).survivors:
         g = parse_graph6(s)
         assert g.n <= 12
@@ -440,7 +438,7 @@ def test_planar_search_order_ten():
     rep = run_named_search("planar_2lec", 10)
     assert rep.generated == 156052
     assert rep.per_filter_rejected == {"planar": 102957, "two_line_ec": 53090}
-    assert rep.survivors == sorted(canonical_form(g) for g in planar_two_line_ec_graphs())
+    assert rep.survivors == sorted(canonical_form(g) for g in PLANAR_TWO_LINE_EC.values())
 
 
 # the per-order constraints the named searches ran with when each order grew
@@ -534,7 +532,7 @@ def test_planar_first_chain_prunes_without_losing_survivors():
     for n, (connected_count, planar_count) in enumerate(zip(CONNECTED_COUNTS, PLANAR_CONNECTED_COUNTS), start=1):
         for lead, count in _check_hereditary_leads(n, connected_count, planar_count).items():
             found[lead] += count
-    # each chain has survivors (the catalog forms at order 7), so a prune
+    # each chain has survivors (the five planar forms at order 7), so a prune
     # through the non-hereditary two_line_ec would show
     assert all(found.values()), found
 
@@ -549,7 +547,7 @@ def test_two_k2_free_planar_walk_reaches_order_twelve():
     # two_k2_free and planar cut the tree, and no node above order 9 is
     # counted, so the run to max order 12 repeats the run to max order 9
     cons = SearchConstraints(final_min_degree=3, predicates=("two_k2_free", "planar", "two_line_ec"))
-    expected = sorted(canonical_form(g) for g in planar_two_line_ec_graphs())
+    expected = sorted(canonical_form(g) for g in PLANAR_TWO_LINE_EC.values())
     for hi in (9, 12):
         counters = search.new_counters(cons)
         survivors = sorted(canonical_form(g) for g in search._walk(1, hi, cons, counters))
@@ -561,7 +559,7 @@ def test_two_k2_free_planar_walk_reaches_order_twelve():
 
 
 def _figure_lines():
-    return [write_graph6(g) for g in planar_two_line_ec_graphs()]
+    return [write_graph6(g) for g in PLANAR_TWO_LINE_EC.values()]
 
 
 def test_filter_stream_figures_plus_k5():
@@ -579,7 +577,7 @@ def test_filter_stream_empty():
 
 
 def test_filter_stream_dedups_relabelings(rng):
-    tc20 = planar_two_line_ec_graphs()[0]
+    tc20 = PLANAR_TWO_LINE_EC["Tc20"]
     lines = [write_graph6(tc20.permuted(random_permutation(rng, 7))) for _ in range(3)]
     rep = filter_stream(lines, SearchConstraints())
     assert len(rep.survivors) == 1
