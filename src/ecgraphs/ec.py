@@ -8,7 +8,8 @@ items are graph edges or hyperedges, two of them adjacent when they share a
 vertex, and ``line_adjacency`` builds the bitsets of both.  The bitsets are
 arbitrary-width ints, so line mode never materializes a line graph and is not
 bound by the 64-vertex cap.  One split search, ``_ec_split_search``, decides
-every level in every mode, and ``xi``/``xi_line`` ascend through it.
+every level in every mode: ``decide`` checks one level and names its
+certificate, and ``xi``/``xi_line`` ascend through the levels.
 
 Symmetric inputs are checked on fewer subsets.  An automorphism maps failing
 subsets to failing subsets, so take any group of automorphisms, acting on the
@@ -172,7 +173,16 @@ def _graph_reps(g: Graph, edges: Sequence[tuple[int, int]] | None = None) -> lis
     return orbit_leaders(items, gens)
 
 
-def _verdict(level: int, failure: tuple[int, ...] | None, items: Sequence[Any]) -> EcVerdict:
+def decide(adjacency: Sequence[int], items: Sequence[Any], level: int, orbit_reps: Callable[[], Sequence[int]] | None,
+           what: str = "graph", error: type[ValueError] = GraphError) -> EcVerdict:
+    """Decide one level over ``items`` by the split search (``orbit_reps`` as
+    there) and name the certificate by them; a level outside 1..len(items)
+    is refused with ``error``, naming the ``what`` whose items they are."""
+    m = len(items)
+    if not 1 <= level <= m:
+        raise error(f"level must be 1..{m} for this {what}, got {level}" if m
+                    else f"this {what} has no edges, so no line level applies")
+    failure = _ec_split_search(adjacency, m, level, orbit_reps)
     if failure is None:
         return EcVerdict(level, True)
     *subset, a = failure
@@ -183,10 +193,7 @@ def _verdict(level: int, failure: tuple[int, ...] | None, items: Sequence[Any]) 
 
 def is_n_ec(g: Graph, n: int) -> EcVerdict:
     """Decide whether g is n-existentially closed over vertices."""
-    if not 1 <= n <= g.n:
-        raise GraphError(f"level must be 1..{g.n} for this graph, got {n}")
-    failure = _ec_split_search(g.adj, g.n, n, lambda: _graph_reps(g))
-    return _verdict(n, failure, range(g.n))
+    return decide(g.adj, range(g.n), n, lambda: _graph_reps(g))
 
 
 def _closure_number(adjacency: Sequence[int], count: int, orbit_reps: Callable[[], Sequence[int]]) -> int:
@@ -248,11 +255,7 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
 def is_n_line_ec(g: Graph, n: int) -> EcVerdict:
     """Decide whether g is n-line existentially closed (over edges)."""
     edges = g.edges()
-    m = len(edges)
-    if not 1 <= n <= m:
-        raise GraphError(f"level must be 1..{m} for this graph, got {n}" if m
-                         else "this graph has no edges, so no line level applies")
-    return _verdict(n, _ec_split_search(line_adjacency(edges, g.n), m, n, lambda: _graph_reps(g, edges)), edges)
+    return decide(line_adjacency(edges, g.n), edges, n, lambda: _graph_reps(g, edges))
 
 
 def xi_line(g: Graph) -> int:

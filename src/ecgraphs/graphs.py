@@ -6,9 +6,8 @@ and set algebra on vertex sets is plain integer arithmetic.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
+from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -131,13 +130,10 @@ def _swap_masks(width: int) -> list[tuple[int, int]]:
     return swaps
 
 
-def _typecode(size: int) -> str:
-    return next(code for code in "BHILQ" if array(code).itemsize == size)
-
-
-# (width, array typecode of that many bits, delta-swaps) for 1-8, 9-16, 17-32 and 33-64 vertices
-_TRANSPOSE = [(width, _typecode(width >> 3), _swap_masks(width)) for width in (8, 16, 32, 64)]
-_BIG_ENDIAN = sys.byteorder == "big"
+# (packing of n rows, delta-swaps) for n = 0..64: little-endian ints of struct's standard
+# sizes, the same on every platform, 8 bits wide for n <= 8, else 16, 32 or 64 bits
+_SWAPS = {code: _swap_masks(width) for code, width in zip("BHIQ", (8, 16, 32, 64))}
+_TRANSPOSE = [(Struct(f"<{n}{code}"), _SWAPS[code]) for n, code in enumerate("B" * 9 + "H" * 8 + "I" * 16 + "Q" * 32)]
 
 
 def relabel_rows(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
@@ -147,18 +143,12 @@ def relabel_rows(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     int; transposing it relabels the columns, and since the rows are
     symmetric, transposed row order[i] is new row i.  In the identity order
     it transposes any rows below bit n, which is how ``Graph`` checks symmetry."""
-    n = len(order)
-    width, code, swaps = _TRANSPOSE[(n > 8) + (n > 16) + (n > 32)]
-    packed = array(code, [adj[v] for v in order])
-    if _BIG_ENDIAN:
-        packed.byteswap()
-    x = int.from_bytes(packed, "little")
+    packing, swaps = _TRANSPOSE[len(order)]
+    x = int.from_bytes(packing.pack(*[adj[v] for v in order]), "little")
     for delta, mask in swaps:
         t = (x ^ x >> delta) & mask
         x ^= t | t << delta
-    cols = array(code, x.to_bytes(n * width >> 3, "little"))
-    if _BIG_ENDIAN:
-        cols.byteswap()
+    cols = packing.unpack(x.to_bytes(packing.size, "little"))
     return tuple([cols[v] for v in order])
 
 

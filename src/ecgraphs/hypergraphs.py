@@ -27,7 +27,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .ec import EcVerdict, _ec_split_search, _verdict, line_adjacency, vertex_stars
+from .ec import EcVerdict, decide, line_adjacency, vertex_stars
 from .graph6 import SPACE, numbered_lines
 from .graphs import Graph, GraphError, MAX_VERTICES, bits
 
@@ -48,16 +48,21 @@ def _check_vertex_count(n: int) -> None:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Vertices 0..n-1 and a sorted tuple of distinct nonempty edge bitmasks."""
+    """Vertices 0..n-1 and a sorted tuple of distinct nonempty edge bitmasks,
+    stored as a tuple whatever sequence is given, so instances are hashable."""
 
     n: int
     edges: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        edges = tuple(self.edges)
+        object.__setattr__(self, "edges", edges)
         _check_vertex_count(self.n)
         full = (1 << self.n) - 1
         prev = 0
-        for e in self.edges:
+        for e in edges:
+            if not isinstance(e, int):
+                raise HypergraphError(f"hyperedge {e!r} is not an int bitmask")
             if e == 0:
                 raise HypergraphError("empty hyperedge")
             if e & ~full:
@@ -138,12 +143,8 @@ def _numbers(line: str, what: str) -> list[int]:
 
 def is_n_line_ec_hyper(h: Hypergraph, n: int) -> EcVerdict:
     """Edge-level closure check, never materializing the line graph."""
-    m = len(h.edges)
-    if not 1 <= n <= m:
-        raise HypergraphError(f"level must be 1..{m} for this hypergraph, got {n}" if m
-                              else "this hypergraph has no edges, so no line level applies")
     items = [tuple(bits(e)) for e in h.edges]
-    return _verdict(n, _ec_split_search(line_adjacency(items, h.n), m, n, lambda: _twin_reps(h, items)), items)
+    return decide(line_adjacency(items, h.n), items, n, lambda: _twin_reps(h, items), "hypergraph", HypergraphError)
 
 
 def _twin_reps(h: Hypergraph, items: Sequence[Sequence[int]]) -> list[int]:

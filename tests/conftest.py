@@ -265,7 +265,7 @@ def brute_first_failure(adjacency, count: int, level: int):
 def unreduced_verdict(adjacency, items, level: int) -> ec.EcVerdict:
     """The split search's verdict with no symmetry supplied: the reference
     every twin-reduced decider must match, certificate included."""
-    return ec._verdict(level, ec._ec_split_search(adjacency, len(items), level), items)
+    return ec.decide(adjacency, items, level, None)
 
 
 def unreduced_closure_number(adjacency) -> int:
@@ -439,7 +439,6 @@ def reduced_outcomes(monkeypatch) -> Counter:
         return spy
 
     monkeypatch.setattr(ec, "_ec_split_search", counted)
-    monkeypatch.setattr(hypergraphs, "_ec_split_search", counted)
     monkeypatch.setattr(ec, "canonical_search", tagged("automorphism", ec.canonical_search))
     monkeypatch.setattr(hypergraphs, "_twin_reps", tagged("twins", hypergraphs._twin_reps))
     return seen

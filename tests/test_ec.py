@@ -9,7 +9,7 @@ from ecgraphs.constructions import paley
 from ecgraphs.ec import (
     EcVerdict,
     _ec_split_search,
-    _verdict,
+    decide,
     is_n_ec,
     is_n_line_ec,
     line_adjacency,
@@ -205,7 +205,7 @@ def test_k4_line_certificate_is_first_failing_split():
     k4 = complete_graph(4)
     v = is_n_line_ec(k4, 2)
     edges = k4.edges()
-    direct = _verdict(2, _ec_split_search(line_adjacency(edges, 4), len(edges), 2), edges)
+    direct = decide(line_adjacency(edges, 4), edges, 2, None)
     assert not v.holds
     assert (v.certificate_a, v.certificate_b) == (direct.certificate_a, direct.certificate_b)
     assert (v.certificate_a, v.certificate_b) == ((), ((0, 1), (0, 2)))

@@ -16,6 +16,7 @@ from ecgraphs.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    path_graph,
 )
 from ecgraphs.hypergraphs import (
     Hypergraph,
@@ -60,6 +61,18 @@ def test_hypergraph_validation():
     assert h.edges == (0b0011, 0b1100)
     assert h.is_uniform(2)
     assert not Hypergraph.from_vertex_sets(3, [[0], [0, 1]]).is_uniform(2)
+
+
+def test_list_edges_are_stored_as_a_tuple():
+    h = Hypergraph(3, [3, 5, 6])
+    assert h.edges == (3, 5, 6) and h == Hypergraph(3, (3, 5, 6)) and hash(h) == hash(Hypergraph(3, (3, 5, 6)))
+
+
+def test_non_int_edge_is_refused():
+    with pytest.raises(HypergraphError, match=r"^hyperedge 3\.0 is not an int bitmask$"):
+        Hypergraph(3, (3.0, 5))
+    with pytest.raises(HypergraphError, match=r"^hyperedge '6' is not an int bitmask$"):
+        Hypergraph(3, (3, "6"))
 
 
 def test_from_vertex_sets_refuses_the_vertex_count_before_building_masks():
@@ -152,6 +165,23 @@ def test_level_domain_errors():
         is_n_line_ec_hyper(h, 5)
     with pytest.raises(HypergraphError):
         is_n_line_ec_hyper(h, 0)
+
+
+def test_decider_refusals_name_the_level_range():
+    # class and exact message of every level refusal, in each of the three modes
+    no_edges = "this {} has no edges, so no line level applies"
+    for decider, target, level, error, message in (
+        (is_n_ec, complete_graph(3), 0, GraphError, "level must be 1..3 for this graph, got 0"),
+        (is_n_ec, complete_graph(3), 4, GraphError, "level must be 1..3 for this graph, got 4"),
+        (is_n_line_ec, path_graph(4), 4, GraphError, "level must be 1..3 for this graph, got 4"),
+        (is_n_line_ec, empty_graph(3), 1, GraphError, no_edges.format("graph")),
+        (is_n_line_ec_hyper, crossing_hypergraph(2, 2, 2), 5, HypergraphError,
+         "level must be 1..4 for this hypergraph, got 5"),
+        (is_n_line_ec_hyper, Hypergraph(3, ()), 1, HypergraphError, no_edges.format("hypergraph")),
+    ):
+        with pytest.raises(error) as info:
+            decider(target, level)
+        assert type(info.value) is error and str(info.value) == message
 
 
 # -- crossing hypergraphs --------------------------------------------------------------
