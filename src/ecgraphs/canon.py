@@ -26,8 +26,13 @@ cell's subcells, and one split step does the rest: it puts the subcells in
 the cell's place, queues them, drops new singletons and checks the halt.  So a
 caller asking only whether some vertex will precede another can stop it once
 one does, and one holding the refined unit partition hands it to
-``canonical_search``, which then skips its root refinement.  Refinement skips
-the passes that cannot split a cell: a singleton never splits, so a
+``canonical_search``, which then skips its root refinement.  The search may
+start from any refined partition whose cells are isomorphism-invariant:
+``coloured_label`` starts it from the vertices grouped by their
+(degree, neighbour-degree sum, triangle) triples (``vertex_triples``), a
+start that usually leaves far fewer leaves than the unit partition, and
+``filter`` keys duplicates by the rows it relabels.  Refinement skips the
+passes that cannot split a cell: a singleton never splits, so a
 one-vertex splitter whose row misses every non-singleton cell is dropped
 unread, and once the partition is discrete the splitters still queued are
 left; a pass copies the cells only from the first cell that splits.  A cell
@@ -167,9 +172,17 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
     smallest leaf, ``order[i]`` the vertex labelled i, so
     ``relabel_rows(adj, order)`` are the canonical rows; the generators
     (vertex permutations fixing the graph) generate the whole automorphism
-    group.  A caller that has already refined the unit partition passes the
-    result as ``cells``, and the search starts from it instead of refining
-    again.
+    group.  The search starts from the refined unit partition, or from
+    ``cells``: any ordered partition that refinement leaves as it is and
+    whose cells are isomorphism-invariant (an isomorphism between two graphs
+    carries each cell onto the cell in the same place), such as the unit
+    partition refined, or the vertices grouped by an invariant colour and
+    refined.  Pruning stays sound: each leaf refines the same starting cells
+    in place, so the automorphism two leaves reveal fixes each of them, and
+    so does every generator; a child skipped as the image of an explored one
+    under such automorphisms roots the image of that subtree.  And since
+    every automorphism keeps invariant cells, the generators still generate
+    the whole group.
     """
     if cells is None:
         cells = refine_partition(n, adj, [(1 << n) - 1])
@@ -256,19 +269,21 @@ def _common_prefix(a: list[int], b: list[int]) -> int:
 
 
 def canonical_form(g: Graph) -> str:
-    """Canonical graph6 string: equal strings iff isomorphic graphs."""
-    order, _ = canonical_search(g.n, g.adj)
-    return encode_graph6(g.n, relabel_rows(g.adj, order))
+    """Canonical graph6 string: equal strings iff isomorphic graphs.  It is
+    the ``coloured_label`` with every vertex one colour."""
+    return encode_graph6(g.n, coloured_label(g, (0,) * g.n))
 
 
-def degree_triangle_invariant(g: Graph) -> tuple:
-    """A cheap isomorphism invariant: n and the sorted multiset of each
-    vertex's (degree, sum of its neighbours' degrees, triangles through it).
+def vertex_triples(g: Graph) -> list[tuple[int, int, int]]:
+    """Each vertex's (degree, sum of its neighbours' degrees, triangles
+    through it), by vertex.
 
     Each triple is defined from the edge set alone, without reference to
     vertex labels, so an isomorphism carries every vertex to one with the
-    same triple and the sorted multiset is unchanged.  Equal invariants do
-    not imply isomorphism: the cube Q3 and the Wagner graph share one.
+    same triple: the sorted triples are an isomorphism invariant, and the
+    triples colour the vertices for ``coloured_label``.  Equal sorted
+    triples do not imply isomorphism: the cube Q3 and the Wagner graph share
+    them.
     """
     adj = g.adj
     deg = [row.bit_count() for row in adj]
@@ -284,8 +299,25 @@ def degree_triangle_invariant(g: Graph) -> tuple:
             paired += (adj[u] & row).bit_count()
         # each triangle through v is seen once from each of its two other ends
         triples.append((deg[v], nsum, paired >> 1))
-    triples.sort()
-    return g.n, tuple(triples)
+    return triples
+
+
+def coloured_label(g: Graph, colours: Sequence) -> tuple[int, ...]:
+    """The rows of g relabelled by the smallest leaf of the search that
+    starts from its vertices grouped by colour, the groups in colour order.
+
+    Two graphs get equal labels exactly when an isomorphism between them
+    keeps every vertex's colour; with colours that an isomorphism always
+    keeps (``vertex_triples``), exactly when they are isomorphic.  With
+    more than one colour the label need not be ``canonical_form``'s: the
+    search starts from other cells.
+    """
+    groups: dict = {}
+    for v, colour in enumerate(colours):
+        groups[colour] = groups.get(colour, 0) | 1 << v
+    cells = refine_partition(g.n, g.adj, [groups[colour] for colour in sorted(groups)])
+    order, _ = canonical_search(g.n, g.adj, cells)
+    return relabel_rows(g.adj, order)
 
 
 def orbit_closure(mask: int, gens: Sequence[Sequence[int]]) -> int:

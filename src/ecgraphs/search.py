@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .canon import canonical_form, canonical_search, degree_triangle_invariant, orbit_closure, orbit_leaders, refine_partition
+from .canon import canonical_form, canonical_search, coloured_label, orbit_closure, orbit_leaders, refine_partition, vertex_triples
 from .ec import is_n_ec, is_n_line_ec
 from .graph6 import Graph6Error, numbered_lines, parse_graph6
 from .graphs import Graph, bits, has_induced_2k2, is_connected, _reach
@@ -106,7 +106,14 @@ def _pred_two_line_ec(g: Graph) -> bool:
 
 
 def _pred_two_ec(g: Graph) -> bool:
-    return g.n >= 2 and is_n_ec(g, 2).holds
+    """``is_n_ec(g, 2).holds``, refusing first a graph with a vertex degree
+    outside 4..n-5.  Every open neighbourhood of a 2-e.c. graph has at least
+    4 vertices (see ``NAMED_SEARCHES``), and the complement of a 2-e.c. graph
+    is 2-e.c. (swap the sets to join and to avoid), so every vertex also has
+    at least 4 non-neighbours.  Only the verdict is read here, so it does not
+    matter which pair fails first."""
+    degrees = g.degrees()
+    return g.n >= 2 and 4 <= min(degrees) and max(degrees) <= g.n - 5 and is_n_ec(g, 2).holds
 
 
 # the named final filters; ``edge_count=M`` is parsed apart
@@ -361,25 +368,26 @@ def filter_stream(
 ) -> SearchReport:
     """Filter externally generated graph6 lines through the constraint chain.
 
-    Input is deduplicated by canonical form before filtering, but lazily: a
-    line is labelled only when its cheap invariant
-    (``canon.degree_triangle_invariant``) matches an earlier line's, or when
-    it survives.  The first graph with an invariant is kept, parsed, until a
-    second line shares the invariant; then both are labelled, the first at
-    most once, and equal canonical forms alone decide duplicates, so a
-    collision of invariants (or of their hashes) costs a label, never a
-    count.  Memory grows with the number of distinct graphs.  Malformed lines
-    raise (with their line number) unless ``lenient`` is set, in which case
-    they are recorded in the report and processing continues.
+    Input is deduplicated before filtering, but lazily: a line is labelled
+    only when its cheap invariant, its sorted ``canon.vertex_triples``,
+    matches an earlier line's.  The first graph with an invariant is kept,
+    parsed, until a second line shares the invariant; then both are labelled,
+    the first at most once, by ``canon.coloured_label`` with their triples as
+    vertex colours, and equal labels alone decide duplicates, so a collision
+    of invariants (or of their hashes) costs a label, never a count.  Only
+    survivors get a ``canonical_form``, for the report.  Memory grows with
+    the number of distinct graphs.  Malformed lines raise (with their line
+    number) unless ``lenient`` is set, in which case they are recorded in the
+    report and processing continues.
     """
     cons = constraints or SearchConstraints()
     chain = _structural_checks(cons) + predicate_functions(cons.predicates)
     t0 = time.perf_counter()
     rejected: dict[str, int] = {}
     errors: list[dict] = []
-    forms: set[str] = set()
+    labels: set[tuple[int, ...]] = set()
     # invariant hash -> the one unlabelled graph with it, or None once every
-    # graph with it has its form in ``forms``
+    # graph with it has its label in ``labels``
     pending: dict[int, Graph | None] = {}
     survivors: list[str] = []
     generated = 0
@@ -396,26 +404,22 @@ def filter_stream(
             continue
         generated += 1
         max_seen = max(max_seen, g.n)
-        key = hash(degree_triangle_invariant(g))
-        form = None
+        triples = vertex_triples(g)
+        key = hash(tuple(sorted(triples)))
         if key not in pending:
             pending[key] = g
         else:
             first = pending[key]
             if first is not None:
-                forms.add(canonical_form(first))
+                labels.add(coloured_label(first, vertex_triples(first)))
                 pending[key] = None
-            form = canonical_form(g)
-            if form in forms:
+            label = coloured_label(g, triples)
+            if label in labels:
                 rejected["duplicate"] = rejected.get("duplicate", 0) + 1
                 continue
-            forms.add(form)
+            labels.add(label)
         if _survives(g, chain, rejected):
-            if form is None:
-                form = canonical_form(g)
-                forms.add(form)
-                pending[key] = None
-            survivors.append(form)
+            survivors.append(canonical_form(g))
     survivors.sort()
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return SearchReport("filter", max_seen, generated, rejected, survivors, wall_ms, errors)

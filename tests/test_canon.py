@@ -8,9 +8,11 @@ from ecgraphs import canon
 from ecgraphs.canon import (
     canonical_form,
     canonical_search,
+    coloured_label,
     orbit_closure,
     orbit_partition,
     refine_partition,
+    vertex_triples,
 )
 from ecgraphs.constructions import paley
 from ecgraphs.ec import line_graph
@@ -24,6 +26,7 @@ from ecgraphs.graphs import (
     complete_multipartite,
     cycle_graph,
     empty_graph,
+    is_connected,
     path_graph,
 )
 from ecgraphs.search import SearchConstraints, enumerate_connected
@@ -305,6 +308,66 @@ def test_search_from_the_refined_unit_partition_matches_search_from_scratch():
     for g in graphs + families:
         cells = refine_partition(g.n, g.adj, [(1 << g.n) - 1])
         assert canonical_search(g.n, g.adj, cells) == canonical_search(g.n, g.adj), write_graph6(g)
+
+
+def _random_regular(rng: random.Random, n: int, d: int) -> Graph:
+    """A random connected d-regular graph on n vertices (pairing model)."""
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(points)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2]) if u != v}
+        if len(edges) == n * d // 2:
+            g = Graph.from_edges(n, edges)
+            if is_connected(g):
+                return g
+
+
+def _regular_graphs(rng: random.Random) -> list[Graph]:
+    return [_random_regular(rng, n, 3) for n in (10, 12, 14, 16)] + [_random_regular(rng, n, 4) for n in range(10, 17)]
+
+
+def _colour_cells(colours) -> list[int]:
+    """The vertices grouped by colour, the groups in colour order."""
+    groups: dict = {}
+    for v, colour in enumerate(colours):
+        groups[colour] = groups.get(colour, 0) | 1 << v
+    return [groups[colour] for colour in sorted(groups)]
+
+
+def test_search_from_invariant_colours_finds_the_whole_group():
+    # started from the vertices grouped by their triples and refined, the
+    # search finds generators that keep every colour class and generate the
+    # group the search from the unit partition finds
+    rng = random.Random(0x33)
+    graphs = [PETERSEN, paley(13), _rook(3), complete_multipartite([2, 3, 4]), complete_bipartite(3, 5)]
+    graphs += _regular_graphs(rng)
+    graphs += [g.permuted(random_permutation(rng, g.n)) for g in graphs]
+    for g in graphs:
+        triples = vertex_triples(g)
+        cells = refine_partition(g.n, g.adj, _colour_cells(triples))
+        _, gens = canonical_search(g.n, g.adj, cells)
+        _, unit_gens = canonical_search(g.n, g.adj)
+        assert orbit_partition(g.n, gens) == orbit_partition(g.n, unit_gens), write_graph6(g)
+        assert group_order(g.n, gens) == group_order(g.n, unit_gens), write_graph6(g)
+        for gen in gens:
+            assert g.permuted(gen) == g
+            assert all(triples[gen[v]] == triples[v] for v in range(g.n))
+
+
+def test_coloured_labels_are_equal_exactly_when_canonical_forms_are():
+    # every labelled graph on <= 6 vertices, connected or not, and random
+    # regular graphs on 10-16 vertices with random relabellings of each
+    rng = random.Random(0x34)
+    graphs = [g for n in range(1, 7) for g in all_labeled_graphs(n)]
+    for g in _regular_graphs(rng):
+        graphs += [g] + [g.permuted(random_permutation(rng, g.n)) for _ in range(4)]
+    by_label: dict = {}
+    by_form: dict = {}
+    for g in graphs:
+        label, form = coloured_label(g, vertex_triples(g)), canonical_form(g)
+        assert by_label.setdefault(label, form) == form, write_graph6(g)
+        assert by_form.setdefault(form, label) == label, write_graph6(g)
+    assert len(by_form) == sum(GRAPH_COUNTS.values()) + 11
 
 
 def test_canonical_search_leaves_no_reference_cycles():

@@ -4,7 +4,8 @@ import time
 import pytest
 
 from ecgraphs import canon, ec, search
-from ecgraphs.canon import canonical_form, canonical_search, degree_triangle_invariant
+from ecgraphs.canon import canonical_form, canonical_search, vertex_triples
+from ecgraphs.constructions import paley
 from ecgraphs.ec import is_n_ec, is_n_line_ec
 from ecgraphs.graph6 import Graph6Error, numbered_lines, parse_graph6, write_graph6
 from ecgraphs.graphs import (
@@ -383,6 +384,21 @@ def test_predicate_chain_counts():
     assert [canonical_form(g) for g in found] == [canonical_form(complete_bipartite(3, 3))]
 
 
+def test_two_ec_predicate_matches_the_decider():
+    # every graph on 2-8 vertices, connected or not (none is 2-e.c.), Paley
+    # 9, 13 and 17 (2-e.c.; Paley 9 has every degree 4 = n - 5) and random
+    # graphs on 9-32 vertices, some 2-e.c.: the degree window never changes
+    # the verdict
+    rng = random.Random(0x35)
+    graphs = [g for n in range(2, 9) for g in enumerate_connected(n, SearchConstraints(require_connected=False))]
+    graphs += [random_graph(rng, rng.randrange(9, 33), rng.choice([0.3, 0.5, 0.7])) for _ in range(200)]
+    for q in (9, 13, 17):
+        assert search._pred_two_ec(paley(q)) and is_n_ec(paley(q), 2).holds
+    verdicts = [is_n_ec(g, 2).holds for g in graphs]
+    assert [search._pred_two_ec(g) for g in graphs] == verdicts
+    assert any(verdicts)
+
+
 def test_two_line_ec_predicate_matches_the_decider(monkeypatch):
     # every graph on <= 7 vertices, connected or not, the five planar forms,
     # K3,3, K6 and F@vf_ (the 11-edge 2-line e.c. graph): the 2K2 rejection
@@ -648,7 +664,7 @@ def _relabelled(rng, g):
 
 
 def test_filter_stream_lazy_dedup_matches_labelling_every_line(rng):
-    assert degree_triangle_invariant(CUBE) == degree_triangle_invariant(WAGNER)
+    assert sorted(vertex_triples(CUBE)) == sorted(vertex_triples(WAGNER))
     assert canonical_form(CUBE) != canonical_form(WAGNER)
     # a duplicate of the first member of an invariant bucket after the second
     shared = [_relabelled(rng, CUBE), _relabelled(rng, WAGNER), _relabelled(rng, CUBE), _relabelled(rng, WAGNER)]
@@ -686,16 +702,16 @@ def test_filter_stream_labels_no_line_with_a_new_invariant_that_fails(monkeypatc
     graphs = {}
     for n in range(1, 7):
         for g in enumerate_connected(n):
-            graphs.setdefault(degree_triangle_invariant(g), g)
+            graphs.setdefault(tuple(sorted(vertex_triples(g))), g)
     lines = [write_graph6(g) for g in graphs.values()]
     calls = []
-    real = search.canonical_form
+    real = search.coloured_label
 
-    def spy(g):
+    def spy(g, colours):
         calls.append(g)
-        return real(g)
+        return real(g, colours)
 
-    monkeypatch.setattr(search, "canonical_form", spy)
+    monkeypatch.setattr(search, "coloured_label", spy)
     # no graph on fewer than 9 vertices is 2-e.c.
     rep = filter_stream(lines, SearchConstraints(predicates=("two_ec",)))
     assert rep.generated == len(lines) > 100 and rep.survivors == []
