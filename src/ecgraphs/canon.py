@@ -10,10 +10,16 @@ common ancestor with that path (McKay 1981; McKay and Piperno 2014).  Each
 tree node also keeps a bitmask of the vertices of its target cell that lie in
 the orbit of an explored child under the automorphisms found so far that fix
 its individualized prefix; it closes that mask under new such generators as
-they arrive and skips the children in it.  Every skipped subtree is an
+they arrive and skips the children in it.  A generator fixes the prefix
+when its mask of moved vertices misses the prefix's mask: one AND per
+generator.  Every skipped subtree is an
 automorphic image of an explored one, so the smallest leaf, and the canonical
 form, are those of the unpruned tree, and the generators found generate the
-whole automorphism group.  Complete and empty graphs, K_{n,n}, rook graphs
+whole automorphism group.  Some automorphisms are known before the search:
+swaps of twins (vertices of one starting cell with equal open or closed
+neighbourhoods), which the search would otherwise find one leaf each.  They
+seed the generators, and prune as found ones do (McKay and Piperno 2014), so
+K_n and E_n take one path.  Complete and empty graphs, K_{n,n}, rook graphs
 K_n x K_n, hypercubes and Paley graphs on up to 64 vertices take well under a
 second.  Disjoint unions of several kinds of component that refinement cannot tell
 apart (2-regular unions of 3-, 4- and 5-cycles, say) remain slow: their
@@ -183,6 +189,13 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
     under such automorphisms roots the image of that subtree.  And since
     every automorphism keeps invariant cells, the generators still generate
     the whole group.
+
+    The generators start as the twin swaps of the starting cells
+    (``_twin_transpositions``) and keep them, so they still generate the
+    whole group.  A swap of two twins in one cell fixes every other vertex,
+    so it is an automorphism that keeps every starting cell, under any
+    colours a caller's cells stand for, and pruning by it is sound by the
+    argument above.
     """
     if cells is None:
         cells = refine_partition(n, adj, [(1 << n) - 1])
@@ -190,15 +203,18 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
         return _leaf_order(cells), []
 
     identity = tuple(range(n))
-    gens: list[tuple[int, ...]] = []
+    gens = _twin_transpositions(adj, cells)
+    # the vertices each generator moves: it fixes a path that misses them
+    moved = [_moved(g) for g in gens]
     # (rows, order, path) of the first leaf and of the smallest leaf so far,
     # order[i] being the vertex labelled i
     first: tuple | None = None
     best: tuple | None = None
 
-    def descend(cells: list[int], path: list[int]) -> int:
-        """Explore the node reached by individualizing ``path``; return the
-        depth at which the search resumes (``len(path)``: carry on here)."""
+    def descend(cells: list[int], path: list[int], fixed: int) -> int:
+        """Explore the node reached by individualizing ``path`` (the vertices
+        of ``fixed``); return the depth at which the search resumes
+        (``len(path)``: carry on here)."""
         nonlocal first, best
         depth = len(path)
         target = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), -1)
@@ -219,6 +235,7 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
                     sigma = tuple(sigma)
                     if sigma != identity and sigma not in gens:
                         gens.append(sigma)
+                        moved.append(_moved(sigma))
                     return _common_prefix(path, ref_path)
             if key < best[0]:
                 best = (key, order, path)
@@ -235,7 +252,7 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
             low = m & -m
             m ^= low
             if covered and folded < len(gens):
-                new = [g for g in gens[folded:] if all(g[w] == w for w in path)]
+                new = [g for g, mv in zip(gens[folded:], moved[folded:]) if not mv & fixed]
                 folded = len(gens)
                 if new:
                     fixing += new
@@ -244,16 +261,45 @@ def canonical_search(n: int, adj: Sequence[int], cells: list[int] | None = None)
                 continue
             covered |= orbit_closure(low, fixing) if fixing else low
             ncells = cells[:target] + [low, cell ^ low] + cells[target + 1:]
-            resume = descend(refine_partition(n, adj, ncells, [low]), path + [low.bit_length() - 1])
+            resume = descend(refine_partition(n, adj, ncells, [low]), path + [low.bit_length() - 1], fixed | low)
             if resume < depth:
                 return resume
         return depth
 
     try:
-        descend(cells, [])
+        descend(cells, [], 0)
     finally:
         del descend  # the closure refers to itself: free it without the cyclic collector
     return best[1], gens
+
+
+def _twin_transpositions(adj: Sequence[int], cells: list[int]) -> list[tuple[int, ...]]:
+    """Swaps of twins within a cell: for each non-singleton cell, each vertex
+    paired with the one before it of equal row (open twins) or of equal row
+    plus itself (closed twins).  Each swap fixes every other vertex, so it is
+    an automorphism that keeps every cell, and the swaps of consecutive twins
+    generate the symmetric group on each twin class.  One dict holds both
+    keys: ``adj[v]`` never holds v, and ``adj[v] == adj[w] | 1 << w`` would put
+    v in ``adj[w]``, so w in ``adj[v]``, and v in ``adj[v]``."""
+    n = len(adj)
+    swaps = []
+    for cell in cells:
+        if cell & (cell - 1):
+            last: dict[int, int] = {}
+            for v in bits(cell):
+                for key in (adj[v], adj[v] | 1 << v):
+                    w = last.get(key)
+                    last[key] = v
+                    if w is not None:
+                        swap = list(range(n))
+                        swap[v], swap[w] = w, v
+                        swaps.append(tuple(swap))
+    return swaps
+
+
+def _moved(perm: Sequence[int]) -> int:
+    """The vertices a permutation moves, as a mask."""
+    return sum(1 << v for v, w in enumerate(perm) if v != w)
 
 
 def _leaf_order(cells: list[int]) -> list[int]:

@@ -30,8 +30,10 @@ required), computed once per child from the parent's mask.  A deletable
 vertex in an earlier refinement cell rejects (cells are ordered by degree
 first, so one of smaller degree does, and refinement stops once one is there),
 and only a deletable rival in the newest vertex's own cell calls for the
-canonical-labelling orbit test, run from the refined cells.  The child's
-expansion reuses its generators, or with no rival its cells.
+canonical-labelling orbit test, run from the refined cells, unless every
+rival is a twin of the newest vertex: then swapping the two is an
+automorphism, and every rival shares its orbit.  The child's expansion
+reuses its generators, or without a search its cells.
 """
 
 from __future__ import annotations
@@ -185,6 +187,10 @@ def _accepts(rows: list[int], deletable: int) -> tuple[bool, list[tuple[int, ...
     must lie in the first refinement cell holding a vertex of ``deletable``
     (the child's deletable vertices, the newest among them) and share an
     orbit with that cell's deletable vertex of least canonical label.
+    A rival that is a twin of the newest vertex (their rows agree outside
+    the two of them) needs no search: swapping the two fixes every other
+    vertex and keeps the graph, so it lies in the newest vertex's orbit;
+    when every rival is a twin, so does the least-labelled one.
     Returns the verdict, the automorphism generators if it computed them, and
     the refinement cells, refined to the end if the child is accepted."""
     k = len(rows)
@@ -197,7 +203,8 @@ def _accepts(rows: list[int], deletable: int) -> tuple[bool, list[tuple[int, ...
     if any(c & deletable for c in cells[:ci]):
         return False, None, cells
     rivals = cells[ci] & deletable
-    if rivals == 1 << vn:
+    # no rival but vn, or only twins of vn: every rival shares vn's orbit
+    if rivals == 1 << vn or all((rows[r] ^ rows[vn]) & ~(1 << r | 1 << vn) == 0 for r in bits(rivals)):
         return True, None, cells
     order, gens = canonical_search(k, rows, cells)
     chosen = next(v for v in order if rivals >> v & 1)

@@ -168,11 +168,12 @@ def brute_orbit_partition(g: Graph) -> list[int]:
     return out
 
 
-def brute_automorphism_count(g: Graph) -> int:
-    """Number of automorphisms, by extending partial maps vertex by vertex and
-    keeping only those that preserve adjacency and non-adjacency so far."""
+def brute_automorphism_count(g: Graph, colours=None) -> int:
+    """Number of automorphisms (that keep every vertex's colour, if given),
+    by extending partial maps vertex by vertex and keeping only those that
+    preserve adjacency and non-adjacency so far."""
     n = g.n
-    deg = g.degrees()
+    deg = list(zip(g.degrees(), colours)) if colours is not None else g.degrees()
     image = [0] * n
     count = 0
 

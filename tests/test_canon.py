@@ -28,6 +28,7 @@ from ecgraphs.graphs import (
     empty_graph,
     is_connected,
     path_graph,
+    relabel_rows,
 )
 from ecgraphs.search import SearchConstraints, enumerate_connected
 
@@ -157,11 +158,15 @@ def _hypercube(d: int) -> Graph:
     return g
 
 
-def _cycle_union(lengths) -> Graph:
+def _union(*graphs: Graph) -> Graph:
     rows: list[int] = []
-    for k in lengths:
-        rows += [row << len(rows) for row in cycle_graph(k).adj]
+    for g in graphs:
+        rows += [row << len(rows) for row in g.adj]
     return Graph(len(rows), tuple(rows))
+
+
+def _cycle_union(lengths) -> Graph:
+    return _union(*map(cycle_graph, lengths))
 
 
 PALEY_ORDERS = (5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61)
@@ -256,23 +261,26 @@ def test_canonical_forms_pinned():
 
 
 # tree nodes (one refine_partition call each, the root's included) that
-# canonical_search visits, recorded while a node still kept its orbits in a
+# canonical_search visits, unseeded and seeded with twin swaps.  The
+# unseeded counts were recorded while a node still kept its orbits in a
 # union-find; the skip rule must not move them.  In C4 + C6 under this
 # relabelling, a generator that moves the path would merge two children that
 # the path's stabilizer keeps apart.  A leaf equal to the best leaf, which
 # is not the first, yields an automorphism and a jump back: GqLcGs takes 19
-# without both, and IOGQCOES? (a C4 + C6) 21 without the jump alone.
+# without both, and IOGQCOES? (a C4 + C6) 21 without the jump alone.  Known
+# twin swaps prune K8 and E8 to one path (closed and open twins), and Q3,
+# the Petersen graph, Paley 13 and C16 have no twins.
 TREE_NODES = {
-    "K8": (lambda: complete_graph(8), 36),
-    "K4,4": (lambda: complete_bipartite(4, 4), 34),
-    "Q3": (lambda: _hypercube(3), 10),
-    "Petersen": (lambda: PETERSEN, 10),
-    "Paley13": (lambda: paley(13), 7),
-    "C16": (lambda: cycle_graph(16), 6),
-    "E8": (lambda: empty_graph(8), 36),
-    "C4+C6 relabelled": (lambda: _cycle_union([4, 6]).permuted(random_permutation(random.Random(8), 10)), 30),
-    "GqLcGs": (lambda: parse_graph6("GqLcGs"), 14),
-    "IOGQCOES?": (lambda: parse_graph6("IOGQCOES?"), 20),
+    "K8": (lambda: complete_graph(8), 36, 8),
+    "K4,4": (lambda: complete_bipartite(4, 4), 34, 13),
+    "Q3": (lambda: _hypercube(3), 10, 10),
+    "Petersen": (lambda: PETERSEN, 10, 10),
+    "Paley13": (lambda: paley(13), 7, 7),
+    "C16": (lambda: cycle_graph(16), 6, 6),
+    "E8": (lambda: empty_graph(8), 36, 8),
+    "C4+C6 relabelled": (lambda: _cycle_union([4, 6]).permuted(random_permutation(random.Random(8), 10)), 30, 27),
+    "GqLcGs": (lambda: parse_graph6("GqLcGs"), 14, 13),
+    "IOGQCOES?": (lambda: parse_graph6("IOGQCOES?"), 20, 19),
 }
 
 
@@ -286,11 +294,109 @@ def test_search_tree_sizes_pinned(monkeypatch):
         return refine(*args)
 
     monkeypatch.setattr(canon, "refine_partition", counting)
-    for name, (make, nodes) in TREE_NODES.items():
-        g = make()
-        calls = 0
-        canon.canonical_search(g.n, g.adj)
-        assert calls == nodes, name
+    seeds = canon._twin_transpositions
+    for seeded in (False, True):
+        monkeypatch.setattr(canon, "_twin_transpositions", seeds if seeded else lambda adj, cells: [])
+        for name, (make, *nodes) in TREE_NODES.items():
+            g = make()
+            calls = 0
+            canon.canonical_search(g.n, g.adj)
+            assert calls == nodes[seeded], (name, seeded)
+
+
+def _blow_up(base: Graph, sizes, closed) -> Graph:
+    """Each vertex i of ``base`` replaced by ``sizes[i]`` twins, adjacent to
+    each other when ``closed[i]``, and joined to every twin of its
+    neighbours."""
+    starts = [sum(sizes[:i]) for i in range(base.n)]
+    classes = [sum(1 << (starts[i] + j) for j in range(size)) for i, size in enumerate(sizes)]
+    rows = []
+    for i, size in enumerate(sizes):
+        around = sum(classes[u] for u in bits(base.adj[i]))
+        for j in range(size):
+            rows.append(around | (classes[i] & ~(1 << (starts[i] + j)) if closed[i] else around))
+    return Graph(len(rows), tuple(rows))
+
+
+def _twin_rich_graphs() -> list[Graph]:
+    """Complete, empty, complete bipartite and multipartite graphs, C5 with
+    each vertex blown up into open or closed twins, and unions with C4."""
+    graphs = [complete_graph(n) for n in (2, 5, 9)] + [empty_graph(n) for n in (2, 5, 9)]
+    graphs += [complete_bipartite(a, b) for a, b in ((1, 4), (2, 2), (3, 5), (4, 4))]
+    graphs += [complete_multipartite(parts) for parts in ([2, 3, 4], [1, 1, 3], [3, 3, 3], [4, 4, 4], [1, 2, 2, 5])]
+    c5 = cycle_graph(5)
+    for closed in ((False,) * 5, (True,) * 5, (True, False, True, False, False)):
+        graphs += [_blow_up(c5, [2] * 5, closed), _blow_up(c5, [1, 2, 3, 1, 2], closed)]
+    c4 = cycle_graph(4)
+    graphs += [_union(c4, c4), _union(c4, complete_graph(2)), _union(c4, cycle_graph(6)), _union(c4, empty_graph(3)),
+               _union(c4, complete_graph(4), c4)]
+    return graphs
+
+
+def _search(g: Graph, cells=None):
+    """Canonical rows, orbits and group order of one search."""
+    order, gens = canonical_search(g.n, g.adj, cells)
+    return relabel_rows(g.adj, order), orbit_partition(g.n, gens), group_order(g.n, gens)
+
+
+def test_twin_seeds_change_no_search_output(monkeypatch):
+    # the search seeded with twin swaps gives the canonical rows, orbits and
+    # group order of the search that has to find them; each seed swaps two
+    # vertices of one starting cell and is an automorphism
+    rng = random.Random(0x34A)
+    loose = SearchConstraints(require_connected=False)
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n, loose)] + _twin_rich_graphs()
+    graphs += [complete_graph(8), complete_bipartite(4, 4), empty_graph(8), paley(13), cycle_graph(16),
+               complete_graph(12), complete_bipartite(8, 8), empty_graph(12), paley(49), paley(61), cycle_graph(64)]
+    for n in (3, 4, 5):
+        graphs += [line_graph(complete_bipartite(n, n))[0], _rook(n)]
+    graphs += [g.permuted(random_permutation(rng, g.n)) for g in graphs]
+    seeds = canon._twin_transpositions
+    seeded = 0
+    for g in graphs:
+        cells = refine_partition(g.n, g.adj, [(1 << g.n) - 1])
+        swaps = seeds(g.adj, cells)
+        for swap in swaps:
+            assert g.permuted(swap) == g, write_graph6(g)
+            moved = [v for v in range(g.n) if swap[v] != v]
+            assert len(moved) == 2 and any(cell >> moved[0] & cell >> moved[1] & 1 for cell in cells), write_graph6(g)
+        seeded += bool(swaps)
+        with_seeds = _search(g)
+        monkeypatch.setattr(canon, "_twin_transpositions", lambda adj, cells: [])
+        assert _search(g) == with_seeds, write_graph6(g)
+        monkeypatch.setattr(canon, "_twin_transpositions", seeds)
+    assert seeded > len(graphs) // 2
+
+
+def test_search_from_colours_that_split_twins_finds_the_coloured_group():
+    # colours that an isomorphism need not keep: the search from the colour
+    # classes finds exactly the colour-preserving automorphisms, so twins in
+    # different classes must not be swapped, and relabelling graph and
+    # colours together leaves the label as it was
+    rng = random.Random(0x34B)
+    bases = [complete_graph(2), empty_graph(2), path_graph(3), complete_graph(3), path_graph(4), cycle_graph(4),
+             complete_bipartite(1, 3)]
+    cases = split = 0  # split: colourings that part two twins
+    for _ in range(300):
+        base = rng.choice(bases)
+        sizes = [rng.randint(1, 3) for _ in range(base.n)]
+        if sum(sizes) > 7:
+            continue
+        g = _blow_up(base, sizes, [rng.random() < 0.5 for _ in range(base.n)])
+        colours = [rng.randrange(rng.randint(1, 3)) for _ in range(g.n)]
+        _, gens = canonical_search(g.n, g.adj, refine_partition(g.n, g.adj, _colour_cells(colours)))
+        for gen in gens:
+            assert g.permuted(gen) == g and all(colours[gen[v]] == colours[v] for v in range(g.n)), write_graph6(g)
+        assert group_order(g.n, gens) == brute_automorphism_count(g, colours), (write_graph6(g), colours)
+        perm = random_permutation(rng, g.n)
+        relabelled = [0] * g.n
+        for v, label in enumerate(perm):
+            relabelled[label] = colours[v]
+        assert coloured_label(g.permuted(perm), relabelled) == coloured_label(g, colours), (write_graph6(g), colours)
+        cases += 1
+        split += any(colours[v] != colours[w] and (g.adj[v] ^ g.adj[w]) & ~(1 << v | 1 << w) == 0
+                     for v in range(g.n) for w in range(v))
+    assert cases > 200 and split > 100
 
 
 def test_search_from_the_refined_unit_partition_matches_search_from_scratch():
